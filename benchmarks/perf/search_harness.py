@@ -78,19 +78,14 @@ def bench_search(
     runs: int = 5,
     window: float = 300.0,
     parallel_workers: Optional[int] = None,
-    array_core: Optional[bool] = None,
     strategy: Optional[str] = None,
     deadline_seconds: Optional[float] = None,
 ) -> dict:
     """Mean/min time of one adaptation search at one system size.
 
-    ``parallel_workers`` routes expansion rounds through the batched
-    evaluation stage (DESIGN.md §11); outcomes are bit-identical to
-    the serial path, so the column measures pure evaluation speed.
-    ``array_core`` pins the array-native expansion core (DESIGN.md §13)
-    on or off; ``None`` keeps the tree's default.  On checkouts that
-    predate a knob the request is silently dropped — those trees only
-    have the legacy path anyway.
+    ``parallel_workers`` dispatches each round's cost predictions to a
+    worker pool (DESIGN.md §11); outcomes are bit-identical to the
+    serial path, so the column measures pure evaluation speed.
 
     ``strategy`` pins the search backend (DESIGN.md §14): ``"astar"``
     to shield the measurement from the ``MISTRAL_SEARCH_STRATEGY``
@@ -114,8 +109,6 @@ def bench_search(
                 "this checkout predates the parallel evaluation stage"
             )
         settings_kwargs["parallel_workers"] = parallel_workers
-    if array_core is not None and "array_core" in _SETTINGS_FIELDS:
-        settings_kwargs["array_core"] = array_core
     if strategy is not None:
         if "strategy" not in _SETTINGS_FIELDS:
             raise ValueError(
@@ -166,7 +159,6 @@ def bench_search(
         "self_aware": self_aware,
         "incremental": incremental,
         "parallel_workers": parallel_workers,
-        "array_core": array_core,
         "strategy": strategy,
         "deadline_seconds": deadline_seconds,
         "runs": runs,
@@ -331,11 +323,9 @@ def run_suite(
     ``incremental_only`` skips the (slower) full-evaluation search
     variants — useful for a quick look at the current numbers.
     ``workers`` adds a ``self_aware_parallel`` column per scenario —
-    measured back to back with the serial ``self_aware`` column so the
-    two are comparable within one run of the suite.  On trees with the
-    array-native core a ``self_aware_scalar`` column (array core off,
-    no workers — the legacy object-at-a-time round) rides along as the
-    reference :func:`summarize_parallel` divides by.  ``metrics_size``
+    measured back to back with the serial ``self_aware`` column, the
+    reference :func:`summarize_parallel` divides by, so the two are
+    comparable within one run of the suite.  ``metrics_size``
     picks the scenario the instrumented telemetry pass runs at
     (default: the smallest benchmarked size).
 
@@ -344,7 +334,6 @@ def run_suite(
     ``strategy_deadline`` caps the wall clock) so the recorded file
     tracks the walkers' time/quality next to the exact searches.
     """
-    has_array_core = "array_core" in _SETTINGS_FIELDS
     searches: dict[str, dict] = {}
     for app_count in sizes:
         scenario: dict[str, dict] = {}
@@ -353,14 +342,6 @@ def run_suite(
             scenario[label] = bench_search(
                 app_count, self_aware, incremental=True, runs=runs
             )
-            if self_aware and has_array_core:
-                scenario["self_aware_scalar"] = bench_search(
-                    app_count,
-                    self_aware,
-                    incremental=True,
-                    runs=runs,
-                    array_core=False,
-                )
             if self_aware and workers is not None:
                 scenario["self_aware_parallel"] = bench_search(
                     app_count,
@@ -403,21 +384,17 @@ def run_suite(
 def summarize_parallel(
     search: Mapping[str, Mapping[str, Mapping[str, float]]],
 ) -> dict:
-    """Scalar / parallel mean-search-seconds ratio per scenario.
+    """Serial / parallel mean-search-seconds ratio per scenario.
 
-    The numerator is the ``self_aware_scalar`` column (legacy
-    object-at-a-time rounds, no workers) when present, else the plain
-    ``self_aware`` column; the denominator is ``self_aware_parallel``
-    (array-native rounds dispatched to the worker pool).  Both come
-    from the same suite run (same machine state, measured back to
-    back), so the ratio is the evaluation stage's speedup on identical
-    work — the searches themselves are bit-identical.
+    The numerator is the serial ``self_aware`` column, the denominator
+    ``self_aware_parallel``; both run the same array rounds and differ
+    only in the worker pool, so the ratio measures the workers alone.
+    Both come from the same suite run (same machine state, measured
+    back to back) and the searches are bit-identical.
     """
     speedups: dict[str, Optional[float]] = {}
     for scenario, variants in search.items():
-        reference = variants.get(
-            "self_aware_scalar", variants.get("self_aware", {})
-        ).get("mean_search_seconds")
+        reference = variants.get("self_aware", {}).get("mean_search_seconds")
         parallel = variants.get("self_aware_parallel", {}).get(
             "mean_search_seconds"
         )

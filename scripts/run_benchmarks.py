@@ -93,22 +93,20 @@ def _write_parallel_block(payload: dict, workers: int) -> None:
     so ``scripts/build_experiments_md.py`` can fold it into EXPERIMENTS.md."""
     meta = payload["meta"]
     lines = [
-        "Evaluation stage — self-aware search, scalar rounds vs "
+        "Evaluation stage — self-aware search, serial array rounds vs "
         f"array rounds with --workers {workers}",
         f"commit {meta['commit']}, python {meta['python']}, "
         f"{meta['runs_per_scenario']} runs/scenario "
         "(mean_search_seconds, wall)",
         "",
-        f"{'scenario':<10} {'scalar [s]':>11} {'parallel [s]':>13} "
+        f"{'scenario':<10} {'serial [s]':>11} {'parallel [s]':>13} "
         f"{'speedup':>8}",
     ]
     for scenario, ratio in payload["parallel_speedup"].items():
         if ratio is None:
             continue
         entry = payload["current"]["search"][scenario]
-        reference = entry.get("self_aware_scalar", entry["self_aware"])[
-            "mean_search_seconds"
-        ]
+        reference = entry["self_aware"]["mean_search_seconds"]
         parallel = entry["self_aware_parallel"]["mean_search_seconds"]
         lines.append(
             f"{scenario:<10} {reference:>11.4f} {parallel:>13.4f} "
@@ -118,12 +116,13 @@ def _write_parallel_block(payload: dict, workers: int) -> None:
         "",
         "Outcomes are bit-identical across columns (DESIGN.md §11/§13); "
         "the ratio is pure wall-clock.",
-        "The scalar column runs the legacy object-at-a-time rounds "
-        "(MISTRAL_ARRAY_CORE=0, no workers);",
-        "the parallel column runs the array-native rounds dispatched "
-        "to the worker pool.",
-        "Small scenarios amortize the vectorized stage less; "
-        "single-core machines resolve the pool to the inline path.",
+        "Both columns run the array-native rounds; the parallel column "
+        "dispatches their cost",
+        "predictions to the worker pool, so the ratio measures the "
+        "workers alone.",
+        "Small scenarios give the pool too little work per round to "
+        "pay for dispatch; single-core machines resolve the pool to "
+        "the inline path.",
     ]
     results = REPO_ROOT / "results"
     results.mkdir(exist_ok=True)
@@ -203,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="add a self_aware_parallel column measured with this many "
         "parallel evaluation workers (bit-identical outcomes; the "
-        "column times the batched evaluation stage)",
+        "column times the worker-pool evaluation stage)",
     )
     parser.add_argument(
         "--strategy",

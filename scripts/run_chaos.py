@@ -1,18 +1,18 @@
 #!/usr/bin/env python
 """Seeded chaos soak over the hardened search stack.
 
-Sweeps fault schedules against the (strategy x executor x array-core)
-matrix on the 2-app testbed, with the post-decision invariant checker
+Sweeps fault schedules against the (strategy x executor) matrix on the
+2-app testbed, with the post-decision invariant checker
 refereeing every committed decision:
 
 - three fault schedules — ``infra`` (action failures/stalls, a host
   crash, monitoring drop/stale), ``workers`` (pool-worker SIGKILLs and
   shared-memory corruption), ``persistence`` (checkpoint-write rot,
   injected solver faults, walker stalls against the watchdog);
-- chaos cells run every schedule x {astar, mcts} x {serial, process}
-  x array-core {off, on}, each with a checkpoint lineage that is
-  loaded and restored afterwards (exercising quarantine + ring
-  rollback when the newest snapshot rotted);
+- chaos cells run every schedule x {astar, mcts} x {serial, process},
+  each with a checkpoint lineage that is loaded and restored afterwards
+  (exercising quarantine + ring rollback when the newest snapshot
+  rotted);
 - control cells run faults-off across the same backend matrix and must
   produce **bit-identical** run traces (utility, power, action records,
   final configuration) per strategy — the hardening layers must cost
@@ -99,7 +99,6 @@ class CellResult:
     schedule: str  # "none" for control cells
     strategy: str
     executor: str  # "serial" | "process"
-    array: bool
     decisions: int = 0
     actions: int = 0
     faults: int = 0
@@ -114,10 +113,7 @@ class CellResult:
 
     @property
     def label(self) -> str:
-        array = "on" if self.array else "off"
-        return (
-            f"{self.schedule}/{self.strategy}/{self.executor}/array-{array}"
-        )
+        return f"{self.schedule}/{self.strategy}/{self.executor}"
 
 
 def _controller_stats(controller):
@@ -211,7 +207,6 @@ def run_cell(
             parallel=workers,
             checkpoint=checkpoint,
             search_strategy=result.strategy,
-            array_core=result.array,
             invariants=True,
         )
     except Exception as error:  # noqa: BLE001 - the soak's whole point
@@ -245,40 +240,30 @@ def run_cell(
 def build_matrix(smoke: bool) -> tuple[list, list]:
     """(control cells, chaos cell specs) for the requested depth.
 
-    Control cells run faults-off; within each strategy every backend
-    combination must produce a bit-identical trace.  The smoke matrix
-    keeps one backend pair per strategy for identity plus every
-    schedule on the widest backend (process + array core).
+    Control cells run faults-off; within each strategy both executors
+    must produce a bit-identical trace.  The smoke matrix keeps both
+    executors per strategy for identity plus every schedule on the
+    widest backend (process).
     """
     strategies = ["astar", "mcts"]
-    full_backends = [
-        ("serial", False),
-        ("serial", True),
-        ("process", False),
-        ("process", True),
-    ]
-    if smoke:
-        control_backends = [("serial", False), ("process", True)]
-        chaos_backends = [("process", True)]
-    else:
-        control_backends = full_backends
-        chaos_backends = full_backends
+    executors = ["serial", "process"]
+    chaos_executors = ["process"] if smoke else executors
     controls = [
-        CellResult("none", strategy, executor, array)
+        CellResult("none", strategy, executor)
         for strategy in strategies
-        for executor, array in control_backends
+        for executor in executors
     ]
     chaos = [
-        (schedule, CellResult(schedule, strategy, executor, array))
+        (schedule, CellResult(schedule, strategy, executor))
         for schedule in ("infra", "workers", "persistence")
         for strategy in strategies
-        for executor, array in chaos_backends
+        for executor in chaos_executors
     ]
     return controls, chaos
 
 
 def identity_check(controls: list) -> tuple[bool, list]:
-    """Per strategy: every faults-off backend matches the serial-scalar
+    """Per strategy: every faults-off backend matches the serial
     reference signature."""
     ok = True
     notes = []
@@ -287,11 +272,7 @@ def identity_check(controls: list) -> tuple[bool, list]:
         by_strategy.setdefault(cell.strategy, []).append(cell)
     for strategy, cells in by_strategy.items():
         reference = next(
-            (
-                cell
-                for cell in cells
-                if cell.executor == "serial" and not cell.array
-            ),
+            (cell for cell in cells if cell.executor == "serial"),
             cells[0],
         )
         for cell in cells:

@@ -2,37 +2,37 @@
 
 One expansion round of the adaptation search enumerates ~``VMs x
 hosts`` actions against the parent configuration, ranks them by
-distance to the ideal, and builds children for the survivors.  The
-legacy batch path already reduces the per-child *sums* with
-``column_sums``, but every scatter cell — the per-action (distance,
-host-match, cost-to-go) term, the constraint verdict, the dedup key —
-still runs a Python expression per action.  This module removes those
-loops:
+distance to the ideal, and builds children for the survivors.  Every
+incremental search runs its rounds here, with no Python expression per
+action for the scatter cells — the per-action (distance, host-match,
+cost-to-go) term, the constraint verdict, the dedup key:
 
 ``ActionBlock`` / ``RoundPlan``
     Enumeration emits actions in cached per-VM sublists whose cache key
-    pins every fact the :class:`~repro.core.actions.RoundDeltaResolver`
-    would consult (placement, cap, powered set, replica bounds).  An
-    ``ActionBlock`` is the numeric image of one sublist — VM slot, target
-    host slot, new cap, integer cap steps, the resolver's validity
+    pins every fact ``AdaptationAction.placement_delta`` would consult
+    (placement, cap, powered set, replica bounds).  An ``ActionBlock``
+    is the numeric image of one sublist — VM slot, target host slot,
+    new cap, integer cap steps, the ``placement_delta`` validity
     verdict, and the exact delta tuples — cached under the same key, so
     a round's plan is a concatenation of pre-encoded columns.
 
 ``ArrayBasis``
     Per-search tables.  Scatter *values* are computed once per (search,
-    block) by the very scalar expressions of the legacy path — Python's
+    block) by the very scalar expressions of the full path — Python's
     ``x ** 2`` (``pow``) is not bit-identical to numpy's ``x * x`` on
     every input, so the values are never re-derived vectorized — and
     then reused as numpy columns round after round.  Constraint
     verdicts run in exact integer cap-step arithmetic (caps and host
     loads live on the ``cpu_cap_step`` decimal grid; each round
-    verifies this and falls back to the scalar path when it does not
-    hold).  Child dedup keys are codec rows with one cell edited.
+    verifies this and falls back to a per-child scalar check when it
+    does not hold).  Child dedup keys are codec rows with one cell
+    edited.
 
-Bit-identity with the legacy scalar path is the contract throughout:
-identical float values (same expressions over the same operands, sums
-reduced by :func:`~repro.parallel.batch.column_sums` in the serial
-order), identical verdicts, identical ordering.
+Bit-identity with the full (``incremental=False``) path is the
+contract throughout: identical float values (same expressions over the
+same operands, sums reduced by
+:func:`~repro.parallel.batch.column_sums` in the serial order),
+identical verdicts, identical ordering.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from typing import Mapping, Optional
 import numpy as np
 
 from repro.core.actions import (
-    AddReplica,
     DecreaseCpu,
     IncreaseCpu,
     MigrateVm,
@@ -97,7 +96,7 @@ def replica_tier_counts(
     catalog: VmCatalog, configuration: Configuration
 ) -> dict[tuple[str, str], int]:
     """Placed replicas per (app, tier) — one O(placements) pass, the
-    same accumulation ``RoundDeltaResolver._replica_count`` performs."""
+    count ``RemoveReplica``'s last-replica check reads."""
     counts: dict[tuple[str, str], int] = {}
     get = catalog.get
     for vm_id, _ in configuration.placement_items():
@@ -141,7 +140,7 @@ class ActionBlock:
     Column ``j`` describes ``sub[j]``: the edited VM's catalog slot
     (``-1`` for an action moving no VM), the destination host slot
     (``-1`` for a removal), the new cap and its exact grid step count,
-    the resolver's validity verdict, and the delta tuple the resolver
+    the ``placement_delta`` validity verdict, and the delta tuple it
     would build (``None`` when invalid, ``()`` for host-power actions).
     ``remove_checks`` lists the removals whose validity still depends on
     the parent's replica count (only tiers allowed to scale to zero);
@@ -181,7 +180,6 @@ class ArrayStatics:
         "codec",
         "catalog",
         "limits",
-        "host_set",
         "vm_mem",
         "step",
         "max_cpu_steps",
@@ -201,7 +199,6 @@ class ArrayStatics:
         self.codec = ConfigCodec(catalog.vm_ids(), host_ids)
         self.catalog = catalog
         self.limits = limits
-        self.host_set = frozenset(self.codec.host_ids)
         self.vm_mem = np.array(
             [catalog.get(vm_id).memory_mb for vm_id in self.codec.vm_ids],
             dtype=np.int64,
@@ -218,7 +215,7 @@ class ArrayStatics:
         #: Memo: cap float -> exact grid step count (-1 when off-grid).
         self._grid: dict[float, int] = {}
         #: Shared single-column block for host power actions: no VM
-        #: moves, the delta is the resolver's empty tuple, and validity
+        #: moves, the delta is the empty tuple, and validity
         #: is pinned by enumeration (only unpowered hosts are offered
         #: power-on, only idle powered hosts power-off).
         self.power_block = ActionBlock(
@@ -240,7 +237,7 @@ class ArrayStatics:
         bit-exactly — the invariant caps and host loads maintain (both
         are built by ``round(.., 10)`` chains over grid caps).  The
         check is what licenses the integer constraint arithmetic; any
-        off-grid value routes the round to the scalar fallback.
+        off-grid value routes the round to the per-child scalar check.
         """
         steps = self._grid.get(value)
         if steps is None:
@@ -262,8 +259,8 @@ def vm_block(
     """Encode one placed VM's cached action sublist.
 
     The sublist's cache key pins the VM, its placement (host, cap), the
-    powered set and the remove permission, so every resolver check is
-    evaluated here once: cap changes get the resolver's exact
+    powered set and the remove permission, so every ``placement_delta``
+    check is evaluated here once: cap changes get its exact
     ``round(cap + signed*count, 10)`` bounds verdict, migrations and
     removals are valid by the pinned facts — except a removal of a tier
     allowed to scale to zero, whose last-replica check depends on the
@@ -327,7 +324,7 @@ def add_block(
 ) -> ActionBlock:
     """Encode one tier's cached add-replica sublist.
 
-    The cache key pins the dormant VM the resolver would activate (the
+    The cache key pins the dormant VM ``AddReplica`` would activate (the
     first unplaced replica in catalog order — the identical scan), so
     validity is constant: a dormant VM exists and the replica cap
     clears the minimum.
@@ -433,7 +430,7 @@ class RoundPlan:
             )
 
     def valid_mask(self, counts: Optional[dict]) -> np.ndarray:
-        """The resolver's accept/reject verdict per column.
+        """The ``placement_delta`` accept/reject verdict per column.
 
         ``counts`` (``replica_tier_counts`` of the parent) is only
         consulted for the deferred last-replica checks; rounds without
@@ -467,7 +464,7 @@ class ArrayBasis:
 
     Wraps the search's ``_SearchBasis`` (per-VM ideal placement facts)
     with the codec universe.  Scatter values are memoized per block —
-    computed by the *scalar* legacy expressions, see the module
+    computed by the *scalar* full-path expressions, see the module
     docstring — so steady-state rounds perform no per-action Python
     arithmetic at all.
     """
@@ -498,7 +495,7 @@ class ArrayBasis:
         #: skip even the concatenation.
         self._plan_vals: dict[int, tuple] = {}
 
-    # -- per-block scatter values (legacy scalar expressions) -----------
+    # -- per-block scatter values (full-path scalar expressions) --------
 
     def _vals_of(self, block: ActionBlock) -> tuple:
         cached = self._block_vals.get(id(block))
@@ -565,8 +562,9 @@ class ArrayBasis:
 
     def distances(self, state, plan: RoundPlan, values: tuple) -> np.ndarray:
         """Per-column distances over the whole plan — bit-identical to
-        the legacy ``batch_distances`` (same scatter values, same
-        ``column_sums`` reduction, same final expression).
+        ``_SearchBasis.child_distance`` per column (same scatter values,
+        summed in the same row order by ``column_sums``, same final
+        expression).
 
         The whole kernel is the array core's ranking work, so it
         attributes to the search's ``score`` phase (a no-op without an
@@ -615,7 +613,8 @@ class ArrayBasis:
         n_off: int,
     ) -> tuple[list, list]:
         """(distance, cost-to-go) per selected column, as exact float
-        lists — the column reductions of ``build_children_batched``."""
+        lists — per column, the sums ``_SearchBasis.distance`` and
+        ``_SearchBasis.togo_seconds`` run over the child's state."""
         dist_vals, match_vals, togo_vals = values
         k = sel.size
         if k < 24:
@@ -658,8 +657,8 @@ class ArrayBasis:
         else:
             dist_vec = dist_sel
         togo_sum = column_sums(togo_m)
-        # Power legs chained in the serial order (float addition is
-        # order-sensitive; see build_children_batched).
+        # Power legs chained in ``togo_seconds``' order (float
+        # addition is order-sensitive).
         togo_vec = togo_sum
         for _ in range(n_on):
             togo_vec = togo_vec + self.on_dur

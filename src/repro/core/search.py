@@ -45,14 +45,12 @@ from repro.core.actions import (
     PowerOffHost,
     PowerOnHost,
     RemoveReplica,
-    RoundDeltaResolver,
 )
 from repro.core.config import (
     Configuration,
     ConstraintLimits,
     Placement,
     VmCatalog,
-    array_core_enabled,
 )
 from repro.core.rounds import (
     ArrayBasis,
@@ -67,7 +65,7 @@ from repro.core.estimator import SteadyEstimate, UtilityEstimator
 from repro.core.perf_pwr import PerfPwrOptimizer, PerfPwrResult
 from repro.core.planner import plan_transition
 from repro.costmodel.manager import CostManager
-from repro.parallel.batch import ScoreContext, column_sums
+from repro.parallel.batch import ScoreContext
 from repro.parallel.executors import (
     EXECUTOR_KINDS,
     SerialExecutor,
@@ -167,21 +165,20 @@ class SearchSettings:
     #: when a candidate's true Eq. 3 utility beats every deflated
     #: bound.  0 recovers the strictly admissible (naive) ordering.
     guidance_weight: float = 1.0
-    #: Evaluate children incrementally: per-vertex delta state for
-    #: distance/cost-to-go/feasibility and delta LQN solves chained off
-    #: the parent's solver state.  Produces bit-identical outcomes to
-    #: the full path (``False``), which re-derives every quantity from
-    #: scratch per child and exists as the equivalence/benchmark
-    #: baseline.
+    #: Evaluate children incrementally: every expansion round runs
+    #: through the array-native core (DESIGN.md §13) over per-vertex
+    #: delta state, with delta LQN solves chained off the parent's
+    #: solver state.  Produces bit-identical outcomes to the full path
+    #: (``False``), which re-derives every quantity from scratch per
+    #: child and exists as the equivalence/benchmark reference.
     incremental: bool = True
     #: Worker count for the parallel evaluation stage (DESIGN.md §11).
     #: ``None`` consults the ``MISTRAL_PARALLEL_WORKERS`` environment
     #: variable, and leaves the stage off when that is unset too.  Any
-    #: value >= 1 routes expansion rounds through the batched scoring
-    #: path (vectorized child evaluation + executor-dispatched cost
-    #: prediction); outcomes are bit-identical to the serial path in
-    #: every case.  Requires ``incremental`` (the batch path scores
-    #: children from the per-vertex delta state).
+    #: value >= 1 dispatches each array round's cost predictions to an
+    #: executor of that many workers; outcomes are bit-identical to the
+    #: serial path in every case.  Requires ``incremental`` (the full
+    #: path never dispatches).
     parallel_workers: Optional[int] = None
     #: Executor backing the worker pool: ``"auto"`` (forked processes
     #: on multi-core hosts, inline otherwise), ``"serial"``,
@@ -201,14 +198,6 @@ class SearchSettings:
     #: runaway search — so deadline-aborted outcomes are inherently
     #: platform-dependent and the watchdog is opt-in.
     deadline_seconds: Optional[float] = None
-    #: Array-native expansion core (DESIGN.md §13): encode each round's
-    #: actions as numeric column blocks and run ranking, constraint
-    #: filtering and child scoring as matrix kernels, materializing
-    #: ``Configuration`` objects only for candidate children and popped
-    #: vertices.  ``None`` consults the ``MISTRAL_ARRAY_CORE``
-    #: environment variable (on unless set falsy).  Requires
-    #: ``incremental``; outcomes are bit-identical to the scalar path.
-    array_core: Optional[bool] = None
     #: Search backend (DESIGN.md §14): one of :data:`STRATEGY_KINDS`.
     #: ``None`` consults the ``MISTRAL_SEARCH_STRATEGY`` environment
     #: variable and falls back to ``"astar"`` — the pre-refactor exact
@@ -359,7 +348,7 @@ class _Vertex:
     is_candidate: bool = False
     #: Incremental-mode delta state (None when incremental is off).
     state: "Optional[_VertexState]" = None
-    #: Lazy state for batch-built children: ``(parent_state, delta)``
+    #: Lazy state for array-round children: ``(parent_state, delta)``
     #: materialized into ``state`` only if the vertex is ever expanded
     #: (most children never are — ~1% of generated vertices get popped).
     pending: Optional[tuple] = None
@@ -368,7 +357,7 @@ class _Vertex:
     parent_configuration: Optional[Configuration] = None
     changed_vms: frozenset[str] = frozenset()
     #: Array-core dedup key (the codec's byte image of the
-    #: configuration; None on the scalar path).  Byte equality is
+    #: configuration; None on the full path).  Byte equality is
     #: configuration equality, so the open-set bookkeeping can run on
     #: keys while ``configuration`` stays lazy.
     key: Optional[bytes] = None
@@ -765,14 +754,35 @@ class AdaptationSearch:
             self.catalog, self.limits, self.cost_manager, tuple(self.host_ids)
         )
 
-    def _ensure_array_statics(self) -> ArrayStatics:
-        """Codec + numeric constants, built once per search instance
-        (raises ``ValueError`` for universes the codec cannot hold —
-        the caller then runs the scalar path)."""
+    def _ensure_array_statics(
+        self, roots: Sequence[Configuration] = ()
+    ) -> ArrayStatics:
+        """Codec + numeric constants, shared across searches.
+
+        The codec's host universe starts from ``host_ids`` and appends,
+        in sorted order, every other host the ``roots`` name (placed
+        on or powered).  A scoped controller's roots name the whole
+        cluster, but its actions only touch its own hosts, so every
+        configuration its search reaches stays inside that universe.
+        Growing the universe rebuilds the statics and drops the caches
+        whose blocks and plans were encoded against the old one.
+        """
         statics = self._array_statics
-        if statics is None:
-            statics = ArrayStatics(self.catalog, self.limits, self.host_ids)
+        universe = (
+            statics.codec.host_ids if statics is not None else self.host_ids
+        )
+        named: set[str] = set()
+        for configuration in roots:
+            named |= configuration.powered_hosts
+            named |= configuration.used_hosts()
+        extra = named.difference(universe)
+        if statics is None or extra:
+            statics = ArrayStatics(
+                self.catalog, self.limits, universe + tuple(sorted(extra))
+            )
             self._array_statics = statics
+            self._round_block_cache.clear()
+            self._round_plan_cache.clear()
         return statics
 
     def _executor_workers(self, settings: SearchSettings) -> int:
@@ -849,7 +859,7 @@ class AdaptationSearch:
     def _demote_executor(self, error: Exception):
         """Permanent graceful fallback after a pool failure: close the
         broken executor, pin inline scoring, notify the resilience
-        hook.  The search continues — the batch path is correct with
+        hook.  The search continues — the array rounds are correct with
         any executor, so a dead pool costs throughput, never a plan."""
         broken = self._executor
         self._parallel_failed = True
@@ -1009,20 +1019,10 @@ class AdaptationSearch:
             if settings.parallel_workers is not None
             else default_workers()
         )
-        # The batch path scores children from the per-vertex delta
-        # state, so the full (non-incremental) baseline always runs the
-        # legacy loop.
+        # Incremental rounds run through the array kernels and the
+        # executor only predicts costs; the full (non-incremental)
+        # reference never dispatches, so a worker request is moot there.
         parallel_on = workers is not None and incremental
-        # Array expansion core: like the batch path it scores children
-        # from the delta state, so it also requires incremental.  When
-        # both are on, rounds flow through the array kernels and the
-        # executor only runs the cost-prediction stage.
-        array_core = (
-            settings.array_core
-            if settings.array_core is not None
-            else array_core_enabled()
-        )
-        array_on = incremental and array_core
         wkey = self.estimator.workload_key(workloads)
         ideal = self.perf_pwr.optimize(workloads)
         if self.scope_hosts is not None:
@@ -1141,7 +1141,7 @@ class AdaptationSearch:
                         wall_seconds=outcome.wall_seconds,
                         expansions=outcome.expansions,
                         parallel=parallel_on,
-                        array_core=array_on,
+                        array_core=incremental,
                     )
                 if collector is not None:
                     try:
@@ -1196,7 +1196,7 @@ class AdaptationSearch:
                             "self_aware": settings.self_aware,
                             "incremental": incremental,
                             "parallel": parallel_on,
-                            "array_core": array_on,
+                            "array_core": incremental,
                             "wall_seconds": outcome.wall_seconds,
                             "decision_seconds": outcome.decision_seconds,
                         },
@@ -1247,24 +1247,21 @@ class AdaptationSearch:
             )
 
         # Array-core setup: every configuration the search can reach is
-        # derived from the roots below by in-universe actions, so
-        # encoding the roots up front proves ``encode_key`` cannot fail
-        # later (out-of-universe or oversized systems degrade to the
-        # scalar path here, never mid-search).
+        # derived from the roots below by actions on this search's own
+        # hosts, so a codec universe covering the roots covers the
+        # whole search.
         abasis: Optional[ArrayBasis] = None
         codec = None
-        if array_on:
-            try:
-                statics = self._ensure_array_statics()
-                statics.codec.encode(current)
-                statics.codec.encode(ideal.configuration)
-                for alternative in ideal.alternatives:
-                    statics.codec.encode(alternative.configuration)
-            except (ValueError, KeyError):
-                array_on = False
-            else:
-                codec = statics.codec
-                abasis = ArrayBasis(statics, basis)
+        if incremental:
+            statics = self._ensure_array_statics(
+                (current, ideal.configuration)
+                + tuple(
+                    alternative.configuration
+                    for alternative in ideal.alternatives
+                )
+            )
+            codec = statics.codec
+            abasis = ArrayBasis(statics, basis)
 
         def togo_penalty(vertex: _Vertex) -> float:
             if basis is not None:
@@ -1320,7 +1317,7 @@ class AdaptationSearch:
         heap: list[tuple[float, int, _Vertex]] = []
         # Keyed by the codec's byte image on the array path (byte
         # equality == configuration equality, and bytes hash much
-        # faster), by the configuration itself on the scalar path;
+        # faster), by the configuration itself on the full path;
         # within one search every vertex uses the same scheme.
         best_priority: dict[tuple, float] = {}
         best_terminal: Optional[_Vertex] = None
@@ -1365,46 +1362,40 @@ class AdaptationSearch:
             action: AdaptationAction,
             parent_steady: SteadyEstimate,
             new_config: Optional[Configuration] = None,
-            delta: Optional[tuple] = None,
         ) -> Optional[_Vertex]:
             """Child vertex for one action, or None if inapplicable.
 
             ``parent_steady`` is hoisted to the caller (one estimate per
-            expansion, not one per child); the pruning path passes the
-            already-computed ``new_config``/``delta`` through so nothing
-            is computed twice.  On the incremental path the action's
-            placement delta both validates the action and yields the
-            child configuration directly (one ``replace``/``remove``),
-            skipping ``apply``'s duplicate validation pass.
+            expansion, not one per child); the full path's pruned round
+            passes its already-applied ``new_config`` through so nothing
+            is computed twice.  On the incremental path (the seed plans)
+            the action's placement delta both validates the action and
+            yields the child configuration directly (one ``replace``/
+            ``remove``), skipping ``apply``'s duplicate validation pass.
             """
             if incremental:
-                if delta is None:
+                try:
+                    delta = action.placement_delta(
+                        parent.configuration, self.catalog, self.limits
+                    )
+                except ActionError:
+                    return None
+                changed = frozenset(vm_id for vm_id, _ in delta)
+                if len(delta) == 1:
+                    (vm_id, placement), = delta
+                    new_config = (
+                        parent.configuration.remove(vm_id)
+                        if placement is None
+                        else parent.configuration.replace(vm_id, placement)
+                    )
+                else:
+                    # No-VM actions (null / host power) go through apply.
                     try:
-                        delta = action.placement_delta(
+                        new_config = action.apply(
                             parent.configuration, self.catalog, self.limits
                         )
                     except ActionError:
                         return None
-                changed = frozenset(vm_id for vm_id, _ in delta)
-                if new_config is None:
-                    if len(delta) == 1:
-                        (vm_id, placement), = delta
-                        new_config = (
-                            parent.configuration.remove(vm_id)
-                            if placement is None
-                            else parent.configuration.replace(
-                                vm_id, placement
-                            )
-                        )
-                    else:
-                        # No-VM actions (null / host power) — and any
-                        # future multi-edit action — go through apply.
-                        try:
-                            new_config = action.apply(
-                                parent.configuration, self.catalog, self.limits
-                            )
-                        except ActionError:
-                            return None
                 child_state = basis.child_state(
                     parent.configuration, parent.state, delta
                 )
@@ -1485,11 +1476,10 @@ class AdaptationSearch:
                 push(terminal)
 
         # -- parallel evaluation stage (DESIGN.md §11) ---------------------
-        # Expansion rounds are scored through a pluggable executor and
-        # children are then built from ``[terms, children]`` matrices
-        # reduced column-wise in the serial summation order, so the
+        # Array rounds predict their selected actions' costs through a
+        # pluggable executor; results merge back in action order, so the
         # children (priorities, tie-breakers, heap behaviour — the whole
-        # outcome) are bit-identical to the legacy per-child loop.
+        # outcome) are bit-identical whatever the executor.
         executor = None
         # Point utility-rate lookups memoized by input value; scoped to
         # this search because they fix (workloads, utility model).
@@ -1503,10 +1493,9 @@ class AdaptationSearch:
             app: (i, rate) for i, (app, rate) in enumerate(workload_items)
         }
         transient_sparse: dict = {}
-        if parallel_on or array_on:
-            # The array core routes cost prediction through the same
-            # executor interface; without a worker request it resolves
-            # to the inline serial executor.
+        if incremental:
+            # Without a worker request the executor resolves to the
+            # inline serial one.
             executor = self._ensure_executor(
                 settings, workers if workers is not None else 1
             )
@@ -1515,10 +1504,10 @@ class AdaptationSearch:
                 registry.counter("parallel.searches").inc()
                 registry.gauge("parallel.workers").set(executor.workers)
 
-        def dispatch(method: str, configuration: Configuration, actions):
-            """One executor round (score or predict), with measured
-            pool cost, the watchdog's hard timer, and supervised
-            recovery on pool death.
+        def dispatch(configuration: Configuration, actions):
+            """One executor prediction round, with measured pool cost,
+            the watchdog's hard timer, and supervised recovery on pool
+            death.
 
             With a deadline set, the round runs under a timeout for the
             remaining budget; on expiry (or with no budget left at all)
@@ -1549,11 +1538,7 @@ class AdaptationSearch:
             try:
                 while True:
                     try:
-                        if remaining is None:
-                            return getattr(executor, method)(
-                                configuration, actions, workloads, wkey
-                            )
-                        return getattr(executor, method)(
+                        return executor.predict(
                             configuration, actions, workloads, wkey,
                             timeout=remaining,
                         )
@@ -1570,9 +1555,9 @@ class AdaptationSearch:
                 pool_cpu += cpu_dt
                 pool_wall += wall_dt
                 if profile is not None:
-                    # The dispatch round *is* the scoring work on the
-                    # batched paths — reuse its measurements instead of
-                    # reading the clocks a second time.
+                    # The dispatch round *is* the round's cost-scoring
+                    # work — reuse its measurements instead of reading
+                    # the clocks a second time.
                     profile.add("score", wall_dt, cpu_dt)
                 if _telemetry.enabled:
                     registry = _telemetry.registry
@@ -1696,7 +1681,7 @@ class AdaptationSearch:
                 missing.append(action)
                 miss_slots.append((i, key, vkey, action))
             if missing:
-                predicted_list = dispatch("predict", configuration, missing)
+                predicted_list = dispatch(configuration, missing)
                 if len(predicted_list) != len(missing):
                     return []
                 if len(values) >= _ROUND_ACTION_CACHE_LIMIT:
@@ -1710,8 +1695,8 @@ class AdaptationSearch:
             return results
 
         def vertex_state(vertex: _Vertex) -> _VertexState:
-            """Materialize a batch-built vertex's lazy state on first
-            expansion (identical to the eager serial construction)."""
+            """Materialize an array-round vertex's lazy state on first
+            expansion (identical to the eager ``build_child`` state)."""
             state = vertex.state
             if state is None and vertex.pending is not None:
                 parent_state, delta = vertex.pending
@@ -1722,362 +1707,76 @@ class AdaptationSearch:
                 vertex.pending = None
             return state
 
-        def batch_distances(state: _VertexState, scatters: list) -> np.ndarray:
-            """Per-child distances from ``(vm_id, cap, host)`` scatter
-            facts — bit-identical to ``basis.child_distance`` (same
-            scalar scatter expressions, column sums in list order;
-            ``np.sqrt``/elementwise division are correctly rounded
-            exactly like their ``math`` scalar counterparts)."""
-            total = basis.total
-            index = basis.index
-            weights = basis.weights
-            ideal_caps = basis.ideal_caps
-            ideal_hosts = basis.ideal_hosts
-            cap_m = np.repeat(
-                np.array(state.cap_terms, dtype=np.float64)[:, None],
-                len(scatters),
-                axis=1,
-            )
-            match_m = np.repeat(
-                np.array(state.host_matches, dtype=np.float64)[:, None],
-                len(scatters),
-                axis=1,
-            )
-            for j, scatter in enumerate(scatters):
-                for vm_id, cap, host in scatter:
-                    i = index[vm_id]
-                    cap_m[i, j] = weights[i] * (cap - ideal_caps[i]) ** 2
-                    match_m[i, j] = 1 if host == ideal_hosts[i] else 0
-            cap_sum = column_sums(cap_m)
-            if not total:
-                return np.sqrt(cap_sum)  # placement term is exactly 0.0
-            match_sum = column_sums(match_m)
-            return np.sqrt(cap_sum) + (1.0 - match_sum / total)
-
         def child_candidate(
             state: _VertexState,
             parent_configuration: Configuration,
-            delta: tuple,
-            changed: frozenset,
+            vm_id: str,
+            new: Optional[Placement],
         ) -> bool:
-            """The child's candidate verdict in O(|delta|), without
-            building its state: replays ``child_state``'s host-entry
-            arithmetic through an overlay dict over the parent's.
+            """A single-edit child's candidate verdict, without building
+            its state: replays ``child_state``'s host-entry arithmetic on
+            at most one source and one destination entry, with
+            ``_host_bad`` unrolled inline (same comparisons).
 
             Quick rejects first: an under-cap VM the action does not
             touch stays under cap, and a bad host the action's (at
             most two) touched hosts cannot account for stays bad."""
-            if state.bad_vms and not (state.bad_vms <= changed):
+            if state.bad_vms and not (state.bad_vms <= {vm_id}):
                 return False
-            if state.bad_hosts > 2 * len(delta):
+            if state.bad_hosts > 2:
                 return False
             limits = self.limits
             bad_hosts = state.bad_hosts
             bad_vm_count = len(state.bad_vms)
             hosts = state.hosts
             memory = basis.memory
-            if len(delta) == 1:
-                # Single-edit fast path (every current action): at most
-                # one source and one destination entry — no overlay,
-                # and ``_host_bad`` unrolled inline (same comparisons).
-                max_cpu = limits.max_total_cpu_cap + 1e-9
-                max_mem = limits.guest_memory_mb
-                max_vms = limits.max_vms_per_host
-                ((vm_id, new),) = delta
-                old = parent_configuration.placement_of(vm_id)
-                src_entry = _ABSENT
-                src = None
-                if old is not None:
-                    src = old.host_id
-                    cpu, mem, vms = hosts.get(src)
-                    was_bad = (
-                        cpu > max_cpu or mem > max_mem or vms > max_vms
-                    )
-                    remaining = vms - 1
-                    if remaining == 0:
-                        src_entry = None
-                        bad_hosts -= was_bad
-                    else:
-                        cpu = round(cpu - old.cpu_cap, 10)
-                        mem -= memory[vm_id]
-                        src_entry = (cpu, mem, remaining)
-                        bad_hosts += (
-                            cpu > max_cpu
-                            or mem > max_mem
-                            or remaining > max_vms
-                        ) - was_bad
-                if new is not None:
-                    dst = new.host_id
-                    entry = (
-                        src_entry if dst == src and src_entry is not _ABSENT
-                        else hosts.get(dst)
-                    )
-                    if entry is not None:
-                        cpu, mem, vms = entry
-                        was_bad = (
-                            cpu > max_cpu or mem > max_mem or vms > max_vms
-                        )
-                        cpu = round(cpu + new.cpu_cap, 10)
-                        mem += memory[vm_id]
-                        vms += 1
-                    else:
-                        was_bad = False
-                        cpu = round(new.cpu_cap, 10)
-                        mem = memory[vm_id]
-                        vms = 1
+            max_cpu = limits.max_total_cpu_cap + 1e-9
+            max_mem = limits.guest_memory_mb
+            max_vms = limits.max_vms_per_host
+            old = parent_configuration.placement_of(vm_id)
+            src_entry = _ABSENT
+            src = None
+            if old is not None:
+                src = old.host_id
+                cpu, mem, vms = hosts.get(src)
+                was_bad = cpu > max_cpu or mem > max_mem or vms > max_vms
+                remaining = vms - 1
+                if remaining == 0:
+                    src_entry = None
+                    bad_hosts -= was_bad
+                else:
+                    cpu = round(cpu - old.cpu_cap, 10)
+                    mem -= memory[vm_id]
+                    src_entry = (cpu, mem, remaining)
                     bad_hosts += (
-                        cpu > max_cpu or mem > max_mem or vms > max_vms
+                        cpu > max_cpu or mem > max_mem or remaining > max_vms
                     ) - was_bad
-                under_cap = new is not None and (
-                    new.cpu_cap < limits.min_vm_cpu_cap - 1e-9
+            if new is not None:
+                dst = new.host_id
+                entry = (
+                    src_entry if dst == src and src_entry is not _ABSENT
+                    else hosts.get(dst)
                 )
-                if under_cap != (vm_id in state.bad_vms):
-                    bad_vm_count += 1 if under_cap else -1
-                return bad_hosts == 0 and bad_vm_count == 0
-            overlay: dict = {}
-
-            def entry_of(host_id):
-                if host_id in overlay:
-                    return overlay[host_id]
-                return hosts.get(host_id)
-
-            for vm_id, new in delta:
-                old = parent_configuration.placement_of(vm_id)
-                if old is not None:
-                    src = old.host_id
-                    entry = entry_of(src)
-                    was_bad = basis._host_bad(*entry)
-                    remaining = entry[2] - 1
-                    if remaining == 0:
-                        overlay[src] = None  # deleted
-                        bad_hosts -= was_bad
-                    else:
-                        entry = (
-                            round(entry[0] - old.cpu_cap, 10),
-                            entry[1] - basis.memory[vm_id],
-                            remaining,
-                        )
-                        overlay[src] = entry
-                        bad_hosts += basis._host_bad(*entry) - was_bad
-                if new is not None:
-                    dst = new.host_id
-                    entry = entry_of(dst)
-                    if entry is not None:
-                        was_bad = basis._host_bad(*entry)
-                        entry = (
-                            round(entry[0] + new.cpu_cap, 10),
-                            entry[1] + basis.memory[vm_id],
-                            entry[2] + 1,
-                        )
-                    else:
-                        was_bad = False
-                        entry = (
-                            round(new.cpu_cap, 10),
-                            basis.memory[vm_id],
-                            1,
-                        )
-                    overlay[dst] = entry
-                    bad_hosts += basis._host_bad(*entry) - was_bad
-                under_cap = new is not None and (
-                    new.cpu_cap < limits.min_vm_cpu_cap - 1e-9
-                )
-                if under_cap != (vm_id in state.bad_vms):
-                    bad_vm_count += 1 if under_cap else -1
+                if entry is not None:
+                    cpu, mem, vms = entry
+                    was_bad = cpu > max_cpu or mem > max_mem or vms > max_vms
+                    cpu = round(cpu + new.cpu_cap, 10)
+                    mem += memory[vm_id]
+                    vms += 1
+                else:
+                    was_bad = False
+                    cpu = round(new.cpu_cap, 10)
+                    mem = memory[vm_id]
+                    vms = 1
+                bad_hosts += (
+                    cpu > max_cpu or mem > max_mem or vms > max_vms
+                ) - was_bad
+            under_cap = new is not None and (
+                new.cpu_cap < limits.min_vm_cpu_cap - 1e-9
+            )
+            if under_cap != (vm_id in state.bad_vms):
+                bad_vm_count += 1 if under_cap else -1
             return bad_hosts == 0 and bad_vm_count == 0
-
-        def build_children_batched(
-            vertex: _Vertex,
-            state: _VertexState,
-            parent_steady: SteadyEstimate,
-            entries: list,
-            distances: Optional[np.ndarray] = None,
-        ) -> list[_Vertex]:
-            """Children for one scored round, in the exact order (and
-            with the exact float values) the serial loop would produce.
-
-            ``entries`` is ``[(order, action, delta, predicted), ...]``.
-            Distance and cost-to-go come from column-wise reductions of
-            per-term matrices; a pruned round passes its ranking
-            ``distances`` (already the same column reductions, over the
-            same scatter values) so only cost-to-go is reduced here.
-            States stay lazy (``pending``) because almost no child is
-            ever expanded; transient utility rates are memoized per
-            round on the predicted (rt_delta, power) values, which is
-            sound because the parent steady estimate is a round
-            constant.
-            """
-            if not entries:
-                return []
-            step = self.limits.cpu_cap_step
-            min_cap = self.limits.min_vm_cpu_cap
-            deltas = [entry[2] for entry in entries]
-            total = basis.total
-            batch = len(entries)
-            index = basis.index
-            togo_m = np.repeat(
-                np.array(state.togo_terms, dtype=np.float64)[:, None],
-                batch,
-                axis=1,
-            )
-            if distances is None:
-                cap_m = np.repeat(
-                    np.array(state.cap_terms, dtype=np.float64)[:, None],
-                    batch,
-                    axis=1,
-                )
-                match_m = np.repeat(
-                    np.array(state.host_matches, dtype=np.float64)[:, None],
-                    batch,
-                    axis=1,
-                )
-                for j, delta in enumerate(deltas):
-                    for vm_id, new in delta:
-                        i = index[vm_id]
-                        cap = new.cpu_cap if new is not None else 0.0
-                        cap_m[i, j] = (
-                            basis.weights[i] * (cap - basis.ideal_caps[i]) ** 2
-                        )
-                        host = new.host_id if new is not None else None
-                        match_m[i, j] = (
-                            1 if host == basis.ideal_hosts[i] else 0
-                        )
-                        togo_m[i, j] = _togo_vm_term(
-                            new,
-                            basis.ideal_placements[i],
-                            basis.tiers[i],
-                            basis.durations,
-                            step,
-                            min_cap,
-                        )
-                cap_sum = column_sums(cap_m)
-                if total:
-                    match_sum = column_sums(match_m)
-                    dist_vec = np.sqrt(cap_sum) + (1.0 - match_sum / total)
-                else:
-                    dist_vec = np.sqrt(cap_sum)
-            else:
-                dist_vec = distances
-                for j, delta in enumerate(deltas):
-                    for vm_id, new in delta:
-                        togo_m[index[vm_id], j] = _togo_vm_term(
-                            new,
-                            basis.ideal_placements[index[vm_id]],
-                            basis.tiers[index[vm_id]],
-                            basis.durations,
-                            step,
-                            min_cap,
-                        )
-            togo_sum = column_sums(togo_m)
-            # Non-power children inherit the parent's powered-host set,
-            # so the power legs of the cost-to-go are round constants —
-            # but float addition is order-sensitive, so they are chained
-            # onto every column in the serial sequence, vectorized.
-            on_dur = basis.durations.get(("power_on", "-"), 90.0)
-            off_dur = basis.durations.get(("power_off", "-"), 30.0)
-            n_on = len(basis.ideal_powered - vertex.configuration.powered_hosts)
-            n_off = len(
-                vertex.configuration.powered_hosts - basis.ideal_powered
-            )
-            togo_vec = togo_sum
-            for _ in range(n_on):
-                togo_vec = togo_vec + on_dur
-            for _ in range(n_off):
-                togo_vec = togo_vec + off_dur
-            remaining_window = max(0.0, window - vertex.elapsed)
-            transient_memo: dict = {}
-            children: list[_Vertex] = []
-            # Hoisted round constants (pure lookups — no float change).
-            parent_config = vertex.configuration
-            parent_actions = vertex.actions
-            parent_accrued = vertex.accrued
-            parent_elapsed = vertex.elapsed
-            config_replace = parent_config.replace
-            config_remove = parent_config.remove
-            transient_of = self.estimator.transient_rates
-            memo_get = transient_memo.get
-            guidance_weight = settings.guidance_weight
-            dist_list = dist_vec.tolist()  # exact float64 values
-            togo_list = togo_vec.tolist()
-            for j, (order, action, delta, predicted) in enumerate(entries):
-                if delta:
-                    if len(delta) == 1:
-                        (vm_id, placement), = delta
-                        changed = frozenset((vm_id,))
-                        new_config = (
-                            config_remove(vm_id)
-                            if placement is None
-                            else config_replace(vm_id, placement)
-                        )
-                    else:
-                        changed = frozenset(vm_id for vm_id, _ in delta)
-                        try:
-                            new_config = action.apply(
-                                parent_config, self.catalog, self.limits
-                            )
-                        except ActionError:
-                            continue
-                    child_state = None
-                    pending = (state, delta)
-                    togo_child = togo_list[j]
-                    is_cand = child_candidate(
-                        state, parent_config, delta, changed
-                    )
-                else:
-                    # Null/host-power actions share the parent's state,
-                    # but their powered set differs — full togo path.
-                    changed = frozenset()
-                    try:
-                        new_config = action.apply(
-                            parent_config, self.catalog, self.limits
-                        )
-                    except ActionError:
-                        continue
-                    child_state = state
-                    pending = None
-                    togo_child = basis.togo_seconds(state, new_config)
-                    is_cand = basis.is_candidate(state)
-                # The executor memo returns one PredictedCost object per
-                # distinct prediction key, so within this round (entries
-                # keep every object alive) id() is a sound memo key.
-                tkey = id(predicted)
-                rates = memo_get(tkey)
-                if rates is None:
-                    rates = transient_of(
-                        parent_steady,
-                        workloads,
-                        predicted.rt_delta,
-                        predicted.power_delta_watts,
-                        memo=util_memo,
-                    )
-                    transient_memo[tkey] = rates
-                perf_rate, power_rate = rates
-                duration = predicted.duration
-                effective = (
-                    duration if duration < remaining_window
-                    else remaining_window
-                )
-                transient_rate = perf_rate + power_rate
-                if ideal_rate < transient_rate:
-                    transient_rate = ideal_rate
-                child = _Vertex(
-                    configuration=new_config,
-                    actions=parent_actions + (action,),
-                    accrued=parent_accrued + effective * transient_rate,
-                    elapsed=parent_elapsed + duration,
-                    distance=dist_list[j],
-                    is_candidate=is_cand,
-                    state=child_state,
-                    pending=pending,
-                    parent_configuration=parent_config,
-                    changed_vms=changed,
-                )
-                child.utility = bound(child)
-                child.priority = (
-                    child.utility
-                    - guidance_weight * togo_child * rate_gap
-                )
-                children.append(child)
-            return children
 
         def build_children_array(
             vertex: _Vertex,
@@ -2091,12 +1790,13 @@ class AdaptationSearch:
             dist_sel: Optional[np.ndarray],
             parent_rows,
         ) -> list:
-            """Children for one array round — the same order and float
-            values as ``build_children_batched``, with the per-child
-            scatter loops replaced by the plan's precomputed columns.
+            """Children for one array round, in enumeration order, with
+            every per-child reduction read off the plan's precomputed
+            columns — the same float values ``build_child`` computes
+            one child at a time.
 
-            Beyond the batched path, non-candidate children stay lazy
-            all the way down: each is returned as a flat payload tuple
+            Non-candidate children stay lazy all the way down: each is
+            returned as a flat payload tuple
             (codec byte key, priority/utility scalars, action, delta,
             shared lineage) — no ``_Vertex``, no ``Configuration`` —
             and ``materialize_lazy`` builds the real vertex only if the
@@ -2116,7 +1816,7 @@ class AdaptationSearch:
             )
             # Kernel-versus-scalar dispatch: below ~2 dozen children the
             # integer-replay kernel's fixed numpy overhead loses to the
-            # legacy per-child check (both produce the same verdicts).
+            # per-child ``child_candidate`` (same verdicts).
             cand_vec = (
                 abasis.candidacy(state, plan, sel, parent_rows)
                 if sel.size >= 24
@@ -2189,7 +1889,7 @@ class AdaptationSearch:
                     if sparse is None:
                         # Walk the (small) rt_delta dict, not the whole
                         # workload vector; sorting by position restores
-                        # the workload-order iteration the legacy loop
+                        # the workload-order iteration ``transient_rates``
                         # uses (positions are unique per app).
                         touched = []
                         for app, rt_d in predicted.rt_delta.items():
@@ -2305,14 +2005,12 @@ class AdaptationSearch:
                 utility = utility_l[j]
                 if delta:
                     key_bytes = keys[j]
+                    (vm_id, placement), = delta
                     is_cand = (
                         cand_list[j]
                         if cand_list is not None
                         else child_candidate(
-                            state,
-                            parent_config,
-                            delta,
-                            frozenset(vm_id for vm_id, _ in delta),
+                            state, parent_config, vm_id, placement
                         )
                     )
                     priority = prio_l[j]
@@ -2331,7 +2029,6 @@ class AdaptationSearch:
                             lineage,
                         ))
                         continue
-                    (vm_id, placement), = delta
                     child = _Vertex(
                         configuration=(
                             config_remove(vm_id)
@@ -2575,25 +2272,19 @@ class AdaptationSearch:
                 continue
 
             with _phases.phase("enumerate"):
-                if array_on:
-                    blocks: list = []
-                    possible = self._enumerate_actions(
-                        vertex.configuration, ideal_caps, blocks_out=blocks
-                    )
-                else:
-                    possible = self._enumerate_actions(
-                        vertex.configuration, ideal_caps
-                    )
+                blocks: Optional[list] = [] if incremental else None
+                possible = self._enumerate_actions(
+                    vertex.configuration, ideal_caps, blocks_out=blocks
+                )
             parent_steady = steady_of(vertex)
             children: list[_Vertex] = []
             tick = settings.per_vertex_seconds
-            if array_on:
+            if incremental:
                 # Array round (DESIGN.md §13): validity, ranking and
                 # the per-child reductions run as matrix kernels over
                 # the plan's pre-encoded columns; the executor round
-                # only predicts costs for the selected actions (all
-                # pre-validated, so the lighter ``predict`` method
-                # applies on the non-pruned path too).
+                # only predicts costs for the selected (pre-validated)
+                # actions.
                 state = vertex_state(vertex)
                 plan_cache = self._round_plan_cache
                 plan_key = tuple(map(id, blocks))
@@ -2680,133 +2371,22 @@ class AdaptationSearch:
                         + settings.per_child_eval_seconds
                     )
                 warm_candidates(vertex, children)
-            elif parallel_on:
-                state = vertex_state(vertex)
-                if pruning and len(possible) > 1:
-                    # Pruned round: reachability and ranking use the
-                    # resolver's lightweight scatter facts (no Placement
-                    # or delta-tuple allocation for the ~95% of actions
-                    # the prune discards); only the ranked survivors
-                    # materialize deltas and go through the executor —
-                    # in ranked order, matching the serial build order.
-                    reachable_batch: list[tuple] = []
-                    resolver = RoundDeltaResolver(
-                        vertex.configuration, self.catalog, self.limits
-                    )
-                    scatter_of = resolver.scatter
-                    for order, action in enumerate(possible):
-                        try:
-                            scatter = scatter_of(action)
-                        except ActionError:
-                            continue
-                        reachable_batch.append((order, action, scatter))
-                    tick += (
-                        len(reachable_batch) * settings.per_child_apply_seconds
-                    )
-                    with _phases.phase("score"):
-                        distances = batch_distances(
-                            state, [entry[2] for entry in reachable_batch]
-                        )
-                    # Stable argsort == sort by (distance, position);
-                    # positions are monotone in enumeration order, so
-                    # this ranks exactly like the serial
-                    # ``sort(key=(distance, order))``.
-                    ranked = np.argsort(distances, kind="stable")
-                    keep = max(
-                        1,
-                        math.ceil(
-                            settings.prune_fraction * len(reachable_batch)
-                        ),
-                    )
-                    if len(reachable_batch) > keep:
-                        pruned_away += len(reachable_batch) - keep
-                        if collector is not None:
-                            collector.note_pruned(
-                                len(reachable_batch) - keep,
-                                float(distances[ranked[keep]]),
-                            )
-                    survivors = [reachable_batch[k] for k in ranked[:keep]]
-                    predictions = dispatch(
-                        "predict",
-                        vertex.configuration,
-                        [entry[1] for entry in survivors],
-                    )
-                    entries = [
-                        (order, action, resolver.delta(action), predicted)
-                        for (order, action, _), predicted in zip(
-                            survivors, predictions
-                        )
-                    ]
-                    with _phases.phase("merge"):
-                        children = build_children_batched(
-                            vertex,
-                            state,
-                            parent_steady,
-                            entries,
-                            distances=distances[ranked[:keep]],
-                        )
-                    tick += len(children) * settings.per_child_eval_seconds
-                else:
-                    scored = dispatch("score", vertex.configuration, possible)
-                    entries = [
-                        (order, action, result[0], result[1])
-                        for order, (action, result) in enumerate(
-                            zip(possible, scored)
-                        )
-                        if result is not None
-                    ]
-                    with _phases.phase("merge"):
-                        children = build_children_batched(
-                            vertex, state, parent_steady, entries
-                        )
-                    tick += len(children) * (
-                        settings.per_child_apply_seconds
-                        + settings.per_child_eval_seconds
-                    )
-                warm_candidates(vertex, children)
             elif pruning and len(possible) > 1:
                 # Pruned expansion: generate configurations cheaply,
                 # keep the 5% closest to the ideal, and only fully
                 # evaluate those — the paper's "decreasing search width
                 # of each vertex".
                 reachable: list[tuple] = []
-                if incremental:
-                    # Rank straight from each action's placement delta:
-                    # the child configuration is only materialized for
-                    # the few survivors below.
-                    for order, action in enumerate(possible):
-                        try:
-                            delta = action.placement_delta(
-                                vertex.configuration, self.catalog, self.limits
-                            )
-                        except ActionError:
-                            continue
-                        reachable.append(
-                            (
-                                basis.child_distance(vertex.state, delta),
-                                order,
-                                action,
-                                None,
-                                delta,
-                            )
+                for order, action in enumerate(possible):
+                    try:
+                        new_config = action.apply(
+                            vertex.configuration, self.catalog, self.limits
                         )
-                else:
-                    for order, action in enumerate(possible):
-                        try:
-                            new_config = action.apply(
-                                vertex.configuration, self.catalog, self.limits
-                            )
-                        except ActionError:
-                            continue
-                        reachable.append(
-                            (
-                                vertex_distance(new_config),
-                                order,
-                                action,
-                                new_config,
-                                None,
-                            )
-                        )
+                    except ActionError:
+                        continue
+                    reachable.append(
+                        (vertex_distance(new_config), order, action, new_config)
+                    )
                 tick += len(reachable) * settings.per_child_apply_seconds
                 reachable.sort(key=lambda item: (item[0], item[1]))
                 keep = max(
@@ -2819,13 +2399,12 @@ class AdaptationSearch:
                             len(reachable) - keep, reachable[keep][0]
                         )
                 with _phases.phase("merge"):
-                    for _, _, action, new_config, delta in reachable[:keep]:
+                    for _, _, action, new_config in reachable[:keep]:
                         child = build_child(
                             vertex,
                             action,
                             parent_steady,
                             new_config=new_config,
-                            delta=delta,
                         )
                         if child is not None:
                             children.append(child)

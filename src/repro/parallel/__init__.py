@@ -7,12 +7,12 @@ candidate configurations per expansion round instead of one at a time:
   ``MISTRAL_PARALLEL_WORKERS`` environment variable supplies a default
   when :class:`~repro.core.search.SearchSettings` leaves it unset);
 - :mod:`repro.parallel.batch` — the scoring kernels shared by every
-  executor: action deltas + cost predictions per round, plus the
+  executor: memoized cost predictions per round, plus the
   column-accumulated numpy reductions whose results are bit-identical
   to the serial Python sums;
 - :mod:`repro.parallel.executors` — the pluggable executor pool
-  (serial / thread / forked process) the search dispatches each
-  round's scoring to, with deterministic chunk-ordered merges.
+  (serial / thread / forked process) the search dispatches each array
+  round's cost predictions to, with deterministic chunk-ordered merges.
 
 The contract, enforced by ``tests/test_parallel.py``: every executor
 produces bit-identical :class:`~repro.core.search.SearchOutcome`\\ s.

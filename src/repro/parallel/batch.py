@@ -1,14 +1,14 @@
 """Round-scoring kernels shared by every executor (DESIGN.md §11).
 
 One expansion round of the adaptation search turns a parent vertex and
-its enumerated actions into scored children.  The per-action work that
-parallelizes cleanly — validating the action's placement delta and
-predicting its transient cost — lives here as plain functions over a
-:class:`ScoreContext`, so the serial executor calls them inline, the
-thread executor calls them from a pool sharing the same objects, and
-the process executor calls them in forked workers that inherited the
-context as a module global (fork-safe: nothing but the small per-round
-payload ever crosses the pickle boundary).
+its enumerated actions into scored children.  The array core validates
+and ranks the actions itself; the per-action work left to parallelize —
+predicting each selected action's transient cost — lives here as plain
+functions over a :class:`ScoreContext`, so the serial executor calls
+them inline, the thread executor calls them from a pool sharing the
+same objects, and the process executor calls them in forked workers
+that inherited the context as a module global (fork-safe: nothing but
+the small per-round payload ever crosses the pickle boundary).
 
 Cost predictions are memoized: a prediction depends on the parent
 configuration only through the action's affected-application set and
@@ -18,7 +18,7 @@ lookups — a memo hit returns float-identical values, keeping every
 executor bit-identical to the serial path.
 
 :func:`column_sums` is the bit-identity workhorse of the vectorized
-scoring in ``core/search``: reducing a ``[terms, children]`` matrix by
+scoring in ``core/rounds``: reducing a ``[terms, children]`` matrix by
 accumulating one row at a time reproduces, per child, the exact
 left-to-right float additions of the serial ``sum(list)`` — unlike
 ``numpy.sum``, whose pairwise summation rounds differently.
@@ -34,12 +34,10 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from repro.core.actions import (
-    ActionError,
     AdaptationAction,
     AddReplica,
     MigrateVm,
     RemoveReplica,
-    RoundDeltaResolver,
 )
 from repro.core.config import (
     ConfigArray,
@@ -48,10 +46,6 @@ from repro.core.config import (
     VmCatalog,
 )
 from repro.costmodel.manager import CostManager, PredictedCost
-
-#: An entry of a scored round: the action's placement delta plus its
-#: predicted cost, or None when the action is inapplicable.
-ScoredAction = Optional[tuple[tuple, PredictedCost]]
 
 
 class ShmCorruptionError(RuntimeError):
@@ -125,11 +119,10 @@ def apps_by_host(
 
 
 def predict_key(
-    context: ScoreContext,
     action: AdaptationAction,
     configuration: Configuration,
     wkey: tuple,
-    host_apps: Optional[dict] = None,
+    host_apps: dict,
 ) -> tuple:
     """Memo key capturing everything a cost prediction reads.
 
@@ -139,11 +132,11 @@ def predict_key(
     replica changes); the workload vector enters via the table lookup
     rate.  Two calls with equal keys return float-identical costs.
 
-    ``host_apps`` (the round's :func:`apps_by_host` map) enables
-    per-kind fast keys that skip building the affected-app union —
-    sound because every prediction on this path follows a successful
-    ``placement_delta``, which pins the facts the generic key spells
-    out.  Per kind:
+    ``host_apps`` (the round's :func:`apps_by_host` map) gives per-kind
+    keys that skip building the affected-app union — sound because
+    every predicted action was already validated against the round's
+    parent, which pins the facts the affected sets depend on.  Per
+    kind:
 
     * cap changes, power toggles, null: the affected set ({the VM's
       app}, or empty) and host count are constants of the action, so
@@ -155,112 +148,36 @@ def predict_key(
       is at worst finer than their union;
     * add/remove replica: one affected host, and the affected set is
       the target/source host's apps plus the action's own app.
-
-    Fast keys and generic keys are tuples of different shapes, so the
-    two schemes never collide within one memo.
     """
-    if host_apps is not None:
-        kind = type(action)
-        if kind is MigrateVm:
-            placement = configuration.placement_of(action.vm_id)
-            src = (
-                host_apps.get(placement.host_id, _EMPTY_APPS)
-                if placement is not None
-                else _EMPTY_APPS
-            )
-            return (
-                wkey,
-                action,
-                src,
-                host_apps.get(action.target_host, _EMPTY_APPS),
-            )
-        if kind is AddReplica:
-            return (
-                wkey,
-                action,
-                host_apps.get(action.target_host, _EMPTY_APPS),
-            )
-        if kind is RemoveReplica:
-            placement = configuration.placement_of(action.vm_id)
-            src = (
-                host_apps.get(placement.host_id, _EMPTY_APPS)
-                if placement is not None
-                else _EMPTY_APPS
-            )
-            return (wkey, action, src)
-        return (wkey, action)
-    return (
-        wkey,
-        action,
-        action.affected_apps(configuration, context.catalog),
-        len(action.affected_hosts(configuration)),
-    )
-
-
-def predict_cached(
-    context: ScoreContext,
-    action: AdaptationAction,
-    configuration: Configuration,
-    workloads: Mapping[str, float],
-    memo: Optional[dict],
-    wkey: tuple,
-    host_apps: Optional[dict] = None,
-) -> PredictedCost:
-    """Predict one action's cost through the memo."""
-    if memo is None:
-        return context.cost_manager.predict(action, configuration, workloads)
-    key = predict_key(context, action, configuration, wkey, host_apps)
-    predicted = memo.get(key)
-    if predicted is None:
-        if len(memo) >= _MEMO_LIMIT:
-            memo.clear()
-        predicted = context.cost_manager.predict(
-            action, configuration, workloads
+    kind = type(action)
+    if kind is MigrateVm:
+        placement = configuration.placement_of(action.vm_id)
+        src = (
+            host_apps.get(placement.host_id, _EMPTY_APPS)
+            if placement is not None
+            else _EMPTY_APPS
         )
-        memo[key] = predicted
-    return predicted
-
-
-def score_actions(
-    context: ScoreContext,
-    configuration: Configuration,
-    actions: Sequence[AdaptationAction],
-    workloads: Mapping[str, float],
-    memo: Optional[dict] = None,
-    wkey: tuple = (),
-) -> list[ScoredAction]:
-    """Delta + predicted cost per action, ``None`` for inapplicable ones.
-
-    Results are positional: ``out[i]`` corresponds to ``actions[i]``,
-    which is what makes chunked parallel execution mergeable into the
-    exact serial order.
-    """
-    out: list[ScoredAction] = []
-    host_apps = apps_by_host(context, configuration) if memo is not None else None
-    resolver = RoundDeltaResolver(
-        configuration, context.catalog, context.limits
-    )
-    for action in actions:
-        try:
-            delta = resolver.delta(action)
-        except ActionError:
-            out.append(None)
-            continue
-        out.append(
-            (
-                delta,
-                predict_cached(
-                    context,
-                    action,
-                    configuration,
-                    workloads,
-                    memo,
-                    wkey,
-                    host_apps,
-                ),
-            )
+        return (
+            wkey,
+            action,
+            src,
+            host_apps.get(action.target_host, _EMPTY_APPS),
         )
-    return out
+    if kind is AddReplica:
+        return (
+            wkey,
+            action,
+            host_apps.get(action.target_host, _EMPTY_APPS),
+        )
+    if kind is RemoveReplica:
+        placement = configuration.placement_of(action.vm_id)
+        src = (
+            host_apps.get(placement.host_id, _EMPTY_APPS)
+            if placement is not None
+            else _EMPTY_APPS
+        )
+        return (wkey, action, src)
+    return (wkey, action)
 
 
 def predict_actions(
@@ -268,17 +185,24 @@ def predict_actions(
     configuration: Configuration,
     actions: Sequence[AdaptationAction],
     workloads: Mapping[str, float],
-    memo: Optional[dict] = None,
+    memo: dict,
     wkey: tuple = (),
 ) -> list[PredictedCost]:
-    """Predicted cost per action (all already validated by their delta)."""
-    host_apps = apps_by_host(context, configuration) if memo is not None else None
-    return [
-        predict_cached(
-            context, action, configuration, workloads, memo, wkey, host_apps
-        )
-        for action in actions
-    ]
+    """Predicted cost per action (all already validated against
+    ``configuration``), through the executor's memo."""
+    host_apps = apps_by_host(context, configuration)
+    predict = context.cost_manager.predict
+    out: list[PredictedCost] = []
+    for action in actions:
+        key = predict_key(action, configuration, wkey, host_apps)
+        predicted = memo.get(key)
+        if predicted is None:
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
+            predicted = predict(action, configuration, workloads)
+            memo[key] = predicted
+        out.append(predicted)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -433,32 +357,6 @@ def _check_worker_epoch(epoch: int) -> None:
             f"worker forked under executor epoch {_WORKER_EPOCH}, "
             f"payload from epoch {epoch}"
         )
-
-
-def _process_score_chunk(payload: tuple) -> list[ScoredAction]:
-    """Pool task: score one chunk of a round in a forked worker."""
-    configuration, actions, workloads, wkey, epoch = payload
-    _check_worker_epoch(epoch)
-    assert _WORKER_CONTEXT is not None, "worker context never installed"
-    tracer = _worker_tracer() if _WORKER_TRACE_SPEC is not None else None
-    if tracer is not None:
-        with tracer.span("worker.score_chunk", actions=len(actions)):
-            return score_actions(
-                _WORKER_CONTEXT,
-                _payload_configuration(configuration),
-                actions,
-                workloads,
-                _WORKER_MEMO,
-                wkey,
-            )
-    return score_actions(
-        _WORKER_CONTEXT,
-        _payload_configuration(configuration),
-        actions,
-        workloads,
-        _WORKER_MEMO,
-        wkey,
-    )
 
 
 def _process_predict_chunk(payload: tuple) -> list[PredictedCost]:

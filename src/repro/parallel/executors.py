@@ -1,8 +1,8 @@
 """Pluggable executors for the worker-pool expansion stage.
 
-An executor scores one expansion round — ``score`` returns each
-action's (delta, predicted cost) and ``predict`` just the costs of
-already-validated survivors — behind one of three backings:
+An executor scores one expansion round — ``predict`` returns the
+predicted costs of the round's already-validated actions — behind one
+of three backings:
 
 ``SerialExecutor``
     inline, zero overhead; the reference everything else must match.
@@ -23,7 +23,7 @@ identical to the serial result: the **deterministic merge** that keeps
 parallel search outcomes bit-identical (children are consumed in
 action-enumeration order downstream, preserving heap tie-breakers).
 
-``score``/``predict`` accept an optional ``timeout`` (seconds) — the
+``predict`` accepts an optional ``timeout`` (seconds) — the
 search watchdog's hard timer over a pool round.  The thread backing
 bounds each future's ``result`` by the remaining budget; the process
 backing uses ``map_async`` with a bounded ``get``.  A round that blows
@@ -36,7 +36,7 @@ own cooperative per-expansion deadline check.
 ``make_executor`` resolves the ``"auto"`` policy: fork-backed processes
 when the machine has more than one CPU, the inline serial path
 otherwise — on a single core any pool only adds dispatch overhead on
-top of the batch path's vectorization, so "auto" refuses to pretend.
+top of the array rounds' vectorization, so "auto" refuses to pretend.
 
 Fault tolerance (DESIGN.md §10): the process backing supervises its
 workers — it keeps the pool's worker handles, polls their liveness
@@ -68,15 +68,12 @@ from repro.core.config import ConfigCodec, Configuration
 from repro.costmodel.manager import PredictedCost
 from repro.parallel.batch import (
     ScoreContext,
-    ScoredAction,
     ShmCorruptionError,
     _process_predict_chunk,
-    _process_score_chunk,
     install_worker_channel,
     install_worker_context,
     install_worker_trace,
     predict_actions,
-    score_actions,
     shm_payload_checksum,
 )
 from repro.telemetry import runtime as _telemetry
@@ -124,18 +121,6 @@ class SerialExecutor:
         self.workers = 1
         self._memo: dict = {}
 
-    def score(
-        self,
-        configuration: Configuration,
-        actions: Sequence[AdaptationAction],
-        workloads: Mapping[str, float],
-        wkey: tuple,
-        timeout: Optional[float] = None,
-    ) -> list[ScoredAction]:
-        return score_actions(
-            self.context, configuration, actions, workloads, self._memo, wkey
-        )
-
     def predict(
         self,
         configuration: Configuration,
@@ -169,12 +154,16 @@ class ThreadExecutor:
             max_workers=workers, thread_name_prefix="repro-score"
         )
 
-    def _map(
-        self, fn, configuration, actions, workloads, wkey, timeout=None
-    ) -> list:
+    def predict(self, configuration, actions, workloads, wkey, timeout=None):
         futures = [
             self._pool.submit(
-                fn, self.context, configuration, chunk, workloads, self._memo, wkey
+                predict_actions,
+                self.context,
+                configuration,
+                chunk,
+                workloads,
+                self._memo,
+                wkey,
             )
             for chunk in _chunks(actions, self.workers)
         ]
@@ -193,16 +182,6 @@ class ThreadExecutor:
                 )
             )
         return merged
-
-    def score(self, configuration, actions, workloads, wkey, timeout=None):
-        return self._map(
-            score_actions, configuration, actions, workloads, wkey, timeout
-        )
-
-    def predict(self, configuration, actions, workloads, wkey, timeout=None):
-        return self._map(
-            predict_actions, configuration, actions, workloads, wkey, timeout
-        )
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)
@@ -537,12 +516,6 @@ class ProcessExecutor:
             merged.extend(result)
         return merged
 
-    def score(self, configuration, actions, workloads, wkey, timeout=None):
-        return self._map(
-            _process_score_chunk, configuration, actions, workloads, wkey,
-            timeout,
-        )
-
     def predict(self, configuration, actions, workloads, wkey, timeout=None):
         return self._map(
             _process_predict_chunk, configuration, actions, workloads, wkey,
@@ -589,7 +562,7 @@ def resolve_executor_kind(kind: str, workers: int) -> str:
 
     One worker is always serial.  ``auto`` picks forked processes when
     the host actually has CPUs to fan out over, and the serial inline
-    path otherwise — the batch path's vectorized scoring is where a
+    path otherwise — the array rounds' vectorized scoring is where a
     single-core host's speedup comes from, and pretending a pool helps
     there would only hide dispatch overhead in every round.
     """

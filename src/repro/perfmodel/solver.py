@@ -57,12 +57,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.config import (
-    ConfigCodec,
-    Configuration,
-    VmCatalog,
-    array_core_enabled,
-)
+from repro.core.config import ConfigCodec, Configuration, VmCatalog
 from repro.perfmodel.lqn import LqnParameters, PerformanceEstimate
 from repro.telemetry import phases as _phases
 from repro.telemetry import runtime as _telemetry
@@ -256,7 +251,7 @@ class LqnSolver:
         configurations: Sequence[Configuration],
         workloads: Mapping[str, float],
         *,
-        use_arrays: Optional[bool] = None,
+        use_arrays: bool = True,
     ) -> list[SolveState]:
         """Solve many configurations under one workload vector at once.
 
@@ -267,12 +262,13 @@ class LqnSolver:
         the incremental path (``update_state`` accepts them).
 
         ``use_arrays`` selects the assembly path: the array-native one
-        encodes the whole batch into ``[batch, n_vms]`` cap/host-index
-        matrices via :class:`~repro.core.config.ConfigCodec` and slices
-        per-tier columns out of them, skipping the per-configuration
-        placement-dict copies and per-tier mapping scans of the legacy
-        path.  Both feed the identical tier math, so the choice (default:
-        ``MISTRAL_ARRAY_CORE``) cannot move a single float.
+        (the default) encodes the whole batch into ``[batch, n_vms]``
+        cap/host-index matrices via :class:`~repro.core.config.ConfigCodec`
+        and slices per-tier columns out of them, skipping the
+        per-configuration placement-dict copies and per-tier mapping
+        scans of the legacy path.  The legacy path still serves batches
+        that name VMs outside this solver's catalog.  Both feed the
+        identical tier math, so the choice cannot move a single float.
 
         Like :meth:`solve_state`, batches never carry demand
         multipliers: they exist for the optimizers' hot path, which
@@ -285,8 +281,6 @@ class LqnSolver:
             registry = _telemetry.registry
             registry.counter("solver.batch_solves").inc()
             registry.counter("solver.batch_configs").inc(batch)
-        if use_arrays is None:
-            use_arrays = array_core_enabled()
         # The whole batched solve is the search's "solve" phase (see
         # repro.telemetry.phases); a no-op when no profile is active.
         with _phases.phase("solve"):

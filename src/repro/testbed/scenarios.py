@@ -158,9 +158,10 @@ def build_mistral(
     ``None`` defers to ``SearchSettings.strategy`` and the
     ``MISTRAL_SEARCH_STRATEGY`` environment variable.
 
-    ``parallel_workers >= 2`` additionally (a) lets every search score
-    expansion rounds through the batched evaluator (DESIGN.md §11) and
-    (b) plans the 1st-level controllers concurrently on a thread pool.
+    ``parallel_workers >= 2`` additionally (a) lets every search
+    dispatch its rounds' cost predictions to a worker pool (DESIGN.md
+    §11) and (b) plans the 1st-level controllers concurrently on a
+    thread pool.
     Concurrent 1st-level controllers each get a *private* estimator
     and ideal-configuration optimizer — their memo caches are plain
     dicts, unsafe to share across planning threads — while the

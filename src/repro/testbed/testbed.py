@@ -270,7 +270,6 @@ class Testbed:
         parallel: Optional[int] = None,
         checkpoint: Optional[object] = None,
         search_strategy: Optional[str] = None,
-        array_core: Optional[bool] = None,
         invariants: bool = False,
     ) -> RunMetrics:
         """Run one strategy over the horizon and collect metrics.
@@ -280,10 +279,10 @@ class Testbed:
         decision, a list of decisions, or None, plus
         ``record_interval_utility(value)``.
 
-        ``parallel`` (duck-typed, like the fault hooks) routes every
-        search the controller owns through the batched evaluation
-        stage with that worker count and — for hierarchies that
-        support it — plans 1st-level controllers concurrently.  Worker
+        ``parallel`` (duck-typed, like the fault hooks) dispatches every
+        search the controller owns to a worker pool of that size and —
+        for hierarchies that support it — plans 1st-level controllers
+        concurrently.  Worker
         pools the run started are always released before it returns,
         whether or not ``parallel`` was given (controllers built with
         their own ``parallel_workers`` rebuild pools on demand).
@@ -315,10 +314,6 @@ class Testbed:
         Without ``checkpoint`` no snapshot is ever written and the run
         is bit-identical to the checkpoint-free testbed.
 
-        ``array_core`` forces the array evaluation core on or off for
-        every search the controller owns (``None`` keeps each search's
-        own setting / the environment default).
-
         ``invariants`` turns on the chaos referee: after every
         controller decision the committed configuration is re-checked
         from first principles (:func:`repro.faults.check_invariants` —
@@ -348,11 +343,6 @@ class Testbed:
             for search in _searches_of(controller):
                 search.settings = replace_params(
                     search.settings, strategy=search_strategy
-                )
-        if array_core is not None:
-            for search in _searches_of(controller):
-                search.settings = replace_params(
-                    search.settings, array_core=array_core
                 )
         store = None
         if checkpoint is not None:

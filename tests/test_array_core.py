@@ -1,30 +1,34 @@
 """Array-native expansion core (DESIGN.md §13).
 
-The contract under test: flipping the array core on — numeric codec,
-vectorized rounds, shared-memory process payloads — changes *how fast*
-rounds are evaluated, never *what* the search decides.  Every decision
-trace must be bit-identical to the legacy object-at-a-time path, under
-every executor backing, and the codec must round-trip configurations
-exactly.
+The contract under test: the array core — numeric codec, vectorized
+rounds, shared-memory process payloads — runs every incremental search
+and changes *how fast* rounds are evaluated, never *what* the search
+decides.  Every decision trace must be bit-identical to the full
+(``incremental=False``) path, under every executor backing and for
+scoped searches whose roots name hosts outside their own group, and
+the codec must round-trip configurations exactly.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import (
-    ConfigCodec,
-    Configuration,
-    Placement,
-    array_core_enabled,
-)
+from repro import telemetry
+from repro.core.config import ConfigCodec, Configuration, Placement
 from repro.core.search import AdaptationSearch, SearchSettings
 from repro.parallel.batch import ScoreContext, install_worker_channel
 from repro.parallel.executors import ProcessExecutor, ShmConfigChannel
-from repro.testbed.scenarios import _global_perf_pwr, initial_configuration
+from repro.testbed.scenarios import (
+    _global_perf_pwr,
+    build_mistral,
+    initial_configuration,
+    make_testbed,
+)
 
 #: Everything a search outcome decides; wall-clock and pool tallies are
 #: measured time, excluded by the contract.
@@ -63,7 +67,7 @@ def array_testbed():
 
 def _make_search(testbed, **settings_kwargs) -> AdaptationSearch:
     settings = SearchSettings(
-        self_aware=True, incremental=True, **settings_kwargs
+        **{"self_aware": True, "incremental": True, **settings_kwargs}
     )
     return AdaptationSearch(
         testbed.applications,
@@ -161,51 +165,67 @@ def test_codec_rejects_out_of_universe_configurations():
         codec.encode(Configuration({}, {"elsewhere"}))
 
 
-# -- bit-identity: array rounds vs legacy rounds -------------------------------
+# -- bit-identity: array rounds vs the full path --------------------------------
 
 
 @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
 def test_array_core_outcomes_bit_identical_to_legacy(executor, array_testbed):
     """Array-native rounds under every executor backing reproduce the
-    legacy per-child loop's outcomes exactly — actions, configurations,
-    float utilities, expansion counts, and the Eq. 3 decision seconds."""
-    legacy = _outcomes(
-        _make_search(array_testbed, array_core=False), array_testbed
+    full path's outcomes exactly — actions, configurations, float
+    utilities, expansion counts, and the Eq. 3 decision seconds."""
+    reference = _outcomes(
+        _make_search(array_testbed, incremental=False), array_testbed
     )
     workers = 1 if executor == "serial" else 2
     array = _outcomes(
         _make_search(
             array_testbed,
-            array_core=True,
             parallel_workers=workers,
             parallel_executor=executor,
         ),
         array_testbed,
     )
-    for reference, candidate in zip(legacy, array):
-        _assert_outcomes_identical(reference, candidate)
+    for expected, candidate in zip(reference, array):
+        _assert_outcomes_identical(expected, candidate)
 
 
-def test_array_core_defaults_follow_environment(monkeypatch):
-    monkeypatch.delenv("MISTRAL_ARRAY_CORE", raising=False)
-    assert array_core_enabled() is True
-    monkeypatch.setenv("MISTRAL_ARRAY_CORE", "0")
-    assert array_core_enabled() is False
-    monkeypatch.setenv("MISTRAL_ARRAY_CORE", "1")
-    assert array_core_enabled() is True
+def test_out_of_group_search_runs_array_rounds():
+    """A 1st-level controller searches its own host group but sees the
+    whole cluster: its roots name hosts outside ``host_ids``.  The
+    codec universe grows to cover them, so the search runs array
+    rounds (no silent fallback) and decides exactly like the full
+    path."""
+    testbed = make_testbed(app_count=4, seed=0)
+    hierarchy, _ = build_mistral(testbed)
+    level1 = hierarchy.level1[1]
+    search = level1.search
+    names = testbed.applications.names()
+    base = {name: 45.0 + 5.0 * index for index, name in enumerate(names)}
+    # The L2 Perf-Pwr ideal at 4x load spreads the VMs over both host
+    # groups; searching from it at 3x load makes the L1 search expand.
+    current = hierarchy.level2.search.perf_pwr.optimize(
+        {name: 4.0 * rate for name, rate in base.items()}
+    ).configuration
+    assert current.used_hosts() - set(search.host_ids)
+    assert current.used_hosts() & set(search.host_ids)
+    workloads = {name: 3.0 * rate for name, rate in base.items()}
 
+    telemetry.enable()
+    try:
+        outcome = search.search(current, workloads, 300.0)
+        counters = telemetry.runtime.registry.snapshot()["counters"]
+    finally:
+        telemetry.disable()
+    assert outcome.expansions > 0
+    assert counters.get("solver.array_rounds", 0) > 0
 
-def test_env_gate_disables_array_rounds(array_testbed, monkeypatch):
-    """MISTRAL_ARRAY_CORE=0 pins the legacy path when the settings
-    leave the choice to the environment — and the outcome still
-    matches the array path bit for bit."""
-    array = _outcomes(
-        _make_search(array_testbed, array_core=True), array_testbed, runs=1
+    reference = search.search(
+        current,
+        workloads,
+        300.0,
+        settings_override=replace(search.settings, incremental=False),
     )
-    monkeypatch.setenv("MISTRAL_ARRAY_CORE", "0")
-    gated = _outcomes(_make_search(array_testbed), array_testbed, runs=1)
-    for reference, candidate in zip(array, gated):
-        _assert_outcomes_identical(reference, candidate)
+    _assert_outcomes_identical(reference, outcome)
 
 
 # -- solver interop: array-assembled states feed update_state ------------------

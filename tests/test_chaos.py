@@ -255,9 +255,7 @@ def test_shm_corruption_triggers_resync_and_decides_identically(
     full image and retries the round — same decision, no fallback."""
     from repro import telemetry
 
-    kwargs = dict(
-        parallel_workers=2, parallel_executor="process", array_core=True
-    )
+    kwargs = dict(parallel_workers=2, parallel_executor="process")
     reference = _run(_make_search(small_testbed), small_testbed)
 
     search = _make_search(

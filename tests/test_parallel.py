@@ -1,15 +1,18 @@
 """Parallel evaluation stage (DESIGN.md §11).
 
-The contract under test: routing expansion rounds through the batched
-evaluator — with any executor backing — changes *when* work happens,
-never *what* the search decides.  Outcomes must be bit-identical to the
-legacy serial loop, pools must fail soft (inline fallback, resilience
-hook), and the batched solver must reproduce ``solve_state`` exactly.
+The contract under test: dispatching the array rounds' cost predictions
+to a worker pool — with any executor backing — changes *when* work
+happens, never *what* the search decides.  Outcomes must be
+bit-identical to the serial search, pools must fail soft (inline
+fallback, resilience hook), and the batched solver must reproduce
+``solve_state`` exactly.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -86,8 +89,8 @@ def _assert_outcomes_identical(reference, candidate) -> None:
 
 @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
 def test_parallel_outcomes_bit_identical_to_legacy(executor, small_testbed):
-    """Batched rounds under every executor backing reproduce the legacy
-    per-child loop's outcomes exactly — actions, configurations, float
+    """Array rounds under every executor backing reproduce the serial
+    search's outcomes exactly — actions, configurations, float
     utilities, expansion counts, and the Eq. 3 decision seconds."""
     legacy = _outcomes(_make_search(small_testbed), small_testbed)
     workers = 1 if executor == "serial" else 2
@@ -126,9 +129,6 @@ class _BrokenExecutor:
     def __init__(self) -> None:
         self.closed = False
 
-    def score(self, *args, **kwargs):
-        raise RuntimeError("worker pool died")
-
     def predict(self, *args, **kwargs):
         raise RuntimeError("worker pool died")
 
@@ -138,7 +138,7 @@ class _BrokenExecutor:
 
 def test_executor_crash_respawns_pool_before_demoting(small_testbed):
     """A dying pool is respawned (bounded, backed off) before any
-    demotion: the outcome still matches the legacy loop bit for bit,
+    demotion: the outcome still matches the serial search bit for bit,
     the broken pool is closed, the respawn hook fires, and no
     permanent serial pin happens while attempts remain."""
     (reference,) = _outcomes(_make_search(small_testbed), small_testbed, 1)
@@ -220,6 +220,30 @@ def test_controller_wires_executor_failures_into_resilience(small_testbed):
     controller._last_now = 360.0
     controller.search.on_executor_failure("executor_failure")
     assert controller.stats.faults_observed == 1
+
+
+def test_parallel_speedup_divides_the_serial_array_column():
+    """``parallel_speedup`` varies one factor, the worker pool: its
+    numerator is the serial ``self_aware`` column, never a column that
+    also switches the evaluation core."""
+    path = (
+        Path(__file__).resolve().parents[1]
+        / "benchmarks" / "perf" / "search_harness.py"
+    )
+    spec = importlib.util.spec_from_file_location("search_harness", path)
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+    search = {
+        "apps-2": {
+            "self_aware": {"mean_search_seconds": 0.3},
+            "self_aware_scalar": {"mean_search_seconds": 0.9},
+            "self_aware_parallel": {"mean_search_seconds": 0.2},
+        },
+        "apps-3": {"self_aware": {"mean_search_seconds": 0.5}},
+    }
+    speedups = harness.summarize_parallel(search)
+    assert speedups["apps-2"] == pytest.approx(1.5)
+    assert speedups["apps-3"] is None
 
 
 def test_resolve_executor_kind_rules():

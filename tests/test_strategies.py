@@ -51,7 +51,7 @@ WALKERS = ("mcts", "annealing")
 
 def _make_search(testbed, **settings_kwargs) -> AdaptationSearch:
     settings = SearchSettings(
-        self_aware=True, incremental=True, **settings_kwargs
+        **{"self_aware": True, "incremental": True, **settings_kwargs}
     )
     return AdaptationSearch(
         testbed.applications,
@@ -158,15 +158,16 @@ def test_outcome_stamps_strategy(small_testbed):
 
 
 @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-@pytest.mark.parametrize("array_core", [True, False])
-def test_astar_dispatch_bit_identical(executor, array_core, small_testbed):
+@pytest.mark.parametrize("incremental", [True, False])
+def test_astar_dispatch_bit_identical(executor, incremental, small_testbed):
     """``strategy="astar"`` through the dispatcher reproduces the direct
-    A* loop exactly — across executor backings and the array core."""
+    A* loop exactly — across executor backings, on both the array
+    rounds (incremental) and the full-evaluation reference path."""
     workers = 1 if executor == "serial" else 2
     kwargs = dict(
         parallel_workers=workers,
         parallel_executor=executor,
-        array_core=array_core,
+        incremental=incremental,
     )
     direct_search = _make_search(small_testbed, **kwargs)
     start = initial_configuration(small_testbed)
