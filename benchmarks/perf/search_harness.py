@@ -89,10 +89,10 @@ def bench_search(
 
     ``strategy`` pins the search backend (DESIGN.md §14): ``"astar"``
     to shield the measurement from the ``MISTRAL_SEARCH_STRATEGY``
-    environment, or a walker name to time its anytime behavior —
+    environment, or ``"polish"`` to time its anytime behavior —
     optionally under ``deadline_seconds``, in which case the row also
-    tallies watchdog aborts and the incumbent utility the walker held
-    when the deadline hit.
+    tallies watchdog aborts and the incumbent utility polish held when
+    the deadline hit.
     """
     testbed = make_testbed(app_count, seed=0)
     settings_kwargs = {"self_aware": self_aware}
@@ -329,10 +329,10 @@ def run_suite(
     picks the scenario the instrumented telemetry pass runs at
     (default: the smallest benchmarked size).
 
-    ``strategy`` adds one anytime-walker column per scenario (labelled
-    by the strategy name, with a ``_deadline`` suffix when
+    ``strategy`` adds one anytime column per scenario (labelled by the
+    strategy name, with a ``_deadline`` suffix when
     ``strategy_deadline`` caps the wall clock) so the recorded file
-    tracks the walkers' time/quality next to the exact searches.
+    tracks polish's time/quality next to the exact searches.
     """
     searches: dict[str, dict] = {}
     for app_count in sizes:

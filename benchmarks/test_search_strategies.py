@@ -1,4 +1,4 @@
-"""Bench: pluggable search strategies — parity and anytime behavior."""
+"""Bench: search strategies — polish parity and anytime behavior."""
 
 from conftest import emit
 
@@ -46,8 +46,8 @@ def test_search_strategy_comparison(benchmark):
     )
     emit("search_strategies", text)
 
-    assert checks["walkers_reach_astar_parity"]
+    assert checks["polish_reaches_astar_parity"]
     assert checks["naive_astar_hits_deadline"]
-    assert checks["walkers_complete_under_deadline"]
-    assert checks["walkers_beat_pruned_astar_at_scale"]
+    assert checks["polish_completes_under_deadline"]
+    assert checks["polish_beats_pruned_astar_at_scale"]
     assert checks["all_plans_beat_null"]

@@ -106,7 +106,7 @@ def measure(sizes: tuple[int, ...], runs: int) -> dict:
     from repro.telemetry import runtime as telemetry
 
     # The gate's counters describe the exact A* tree; pin the backend so
-    # a MISTRAL_SEARCH_STRATEGY environment (e.g. the walker CI leg)
+    # a MISTRAL_SEARCH_STRATEGY environment (e.g. the polish CI leg)
     # cannot swap the search out from under the recorded tolerances.
     search: dict[str, dict] = {}
     for app_count in sizes:

@@ -142,7 +142,7 @@ def _history_row(payload: dict) -> dict:
         scenario: {
             label: entry[label]["mean_search_seconds"]
             for label in entry
-            # Strategy columns (e.g. ``mcts_deadline``) are tagged by
+            # Strategy columns (e.g. ``polish_deadline``) are tagged by
             # their own label so trajectory rows separate per backend.
             if label in history_labels or entry[label].get("strategy")
         }
@@ -208,8 +208,8 @@ def main(argv: list[str] | None = None) -> int:
         "--strategy",
         type=str,
         default=None,
-        help="add a per-scenario column timing this pluggable search "
-        "strategy (e.g. 'mcts'); measured only on the current tree",
+        help="add a per-scenario column timing this search strategy "
+        "(e.g. 'polish'); measured only on the current tree",
     )
     parser.add_argument(
         "--strategy-deadline",

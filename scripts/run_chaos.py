@@ -8,8 +8,8 @@ refereeing every committed decision:
 - three fault schedules — ``infra`` (action failures/stalls, a host
   crash, monitoring drop/stale), ``workers`` (pool-worker SIGKILLs and
   shared-memory corruption), ``persistence`` (checkpoint-write rot,
-  injected solver faults, walker stalls against the watchdog);
-- chaos cells run every schedule x {astar, mcts} x {serial, process},
+  injected solver faults, polish stalls against the watchdog);
+- chaos cells run every schedule x {astar, polish} x {serial, process},
   each with a checkpoint lineage that is loaded and restored afterwards
   (exercising quarantine + ring rollback when the newest snapshot
   rotted);
@@ -81,7 +81,7 @@ def fault_schedules(seed: int) -> dict:
             shm_corruption_probability=0.25,
             shm_corruption_mode="flip",
         ),
-        # Persistence and the walkers misbehave.
+        # Persistence and the polish backend misbehave.
         "persistence": FaultConfig(
             seed=seed + 3,
             checkpoint_corruption_probability=0.30,
@@ -245,7 +245,7 @@ def build_matrix(smoke: bool) -> tuple[list, list]:
     executors per strategy for identity plus every schedule on the
     widest backend (process).
     """
-    strategies = ["astar", "mcts"]
+    strategies = ["astar", "polish"]
     executors = ["serial", "process"]
     chaos_executors = ["process"] if smoke else executors
     controls = [

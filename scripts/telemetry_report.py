@@ -751,7 +751,7 @@ def render(report: dict) -> str:
                 f"{executors['shm_resyncs']} resyncs"
             )
             out.append(
-                f"walkers: {executors['solver_faults']} solver faults, "
+                f"polish: {executors['solver_faults']} solver faults, "
                 f"{executors['strategy_stalls']} stalls, "
                 f"{executors['strategy_failures']} astar fallbacks  "
                 f"checkpoints: {executors['checkpoint_corruptions']} rotted, "

@@ -273,10 +273,10 @@ def render_decision(index: int, span: dict, provenance: dict | None) -> str:
             f"array_core={search.get('array_core', False)} "
             f"wall={search.get('wall_seconds', 0.0):.4f}s"
         )
-        # Walker-produced records carry the backend name plus its own
-        # tallies (rollout_steps/tree_nodes for MCTS, accepted_moves/
-        # restarts for annealing, ...); print whatever is there so the
-        # drill-down identifies the backend without a schema bump.
+        # Polish-produced records carry the backend name plus its own
+        # tallies (beam_tiers, sweep_replays, climb_starts); print
+        # whatever is there so the drill-down identifies the backend
+        # without a schema bump.
         known = {
             "expansions", "children_generated", "children_pruned",
             "candidates", "pruning_activated", "optimal", "early_return",

@@ -72,8 +72,8 @@ class ControllerStats:
     #: Executor failures that exhausted the respawn budget and pinned
     #: the search to the serial path.
     executor_failures: int = 0
-    #: Anytime walkers that blew up mid-run and fell back to the exact
-    #: A* incumbent path.
+    #: Anytime polish runs that blew up mid-run and fell back to the
+    #: exact A* incumbent path.
     strategy_failures: int = 0
 
     def mean_search_seconds(self) -> float:
@@ -130,7 +130,7 @@ class MistralController:
     def _on_executor_failure(self, kind: str) -> None:
         """A resilience signal surfaced from inside the search — a pool
         respawn (``"worker_respawn"``), a permanent pin-to-serial
-        demotion (``"executor_failure"``), or a walker falling back to
+        demotion (``"executor_failure"``), or polish falling back to
         the exact A* (``"strategy_failure"``).  Tallied per kind and
         fed to the degradation ladder like any other execution fault."""
         if kind == "worker_respawn":
@@ -211,7 +211,7 @@ class MistralController:
         """Per-run settings override for the current ladder rung.
 
         The pruned rung also pins the strategy to the exact A*: the
-        ladder degrades under faults, and the stochastic walkers are
+        ladder degrades under faults, and the anytime polish is
         exactly the machinery whose failures (injected solver faults,
         watchdog-tripping stalls) may have put us here — the pruned
         self-aware A* with a reduced expansion budget is the known-good

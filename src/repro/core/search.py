@@ -95,13 +95,12 @@ LOCAL_ACTION_KINDS: frozenset[str] = frozenset(
     {"increase_cpu", "decrease_cpu", "migrate"}
 )
 
-#: Pluggable search backends (DESIGN.md §14): the paper's exact A*
-#: ("astar", the default), a seeded UCB-guided Monte-Carlo tree search
-#: ("mcts"), and a seeded simulated-annealing walker ("annealing").
-#: All three share the action-enumeration space, the incremental
-#: evaluation machinery, and the SearchOutcome shape; only "astar"
-#: proves optimality, while the stochastic backends are anytime.
-STRATEGY_KINDS: tuple[str, ...] = ("astar", "mcts", "annealing")
+#: Search backends (DESIGN.md §14): the paper's exact A* ("astar", the
+#: default) and the deterministic anytime "polish" local search.  Both
+#: share the action-enumeration space, the incremental evaluation
+#: machinery, and the SearchOutcome shape; only "astar" proves
+#: optimality.
+STRATEGY_KINDS: tuple[str, ...] = ("astar", "polish")
 
 
 @dataclass(frozen=True)
@@ -200,44 +199,11 @@ class SearchSettings:
     deadline_seconds: Optional[float] = None
     #: Search backend (DESIGN.md §14): one of :data:`STRATEGY_KINDS`.
     #: ``None`` consults the ``MISTRAL_SEARCH_STRATEGY`` environment
-    #: variable and falls back to ``"astar"`` — the pre-refactor exact
-    #: A* loop, bit-identical to its un-extracted form.  ``"mcts"`` and
-    #: ``"annealing"`` are seeded anytime backends: deterministic under
-    #: a fixed ``strategy_seed``, they keep a feasible incumbent at all
-    #: times and return it on any abort (deadline watchdog included).
+    #: variable and falls back to ``"astar"`` — the exact A* loop.
+    #: ``"polish"`` is the deterministic anytime backend: it keeps a
+    #: feasible incumbent at all times and returns it on any abort
+    #: (deadline watchdog included).
     strategy: Optional[str] = None
-    #: Seed of the stochastic backends' private RNG.  Two searches with
-    #: the same seed, inputs and knobs make identical decisions; the
-    #: exact A* ignores it.
-    strategy_seed: int = 0
-    #: Proposal width of the stochastic walkers: each step considers
-    #: only the ``walker_branch_limit`` enumerated actions closest to
-    #: the ideal configuration (weighted-Euclidean distance — the same
-    #: ranking the self-aware prune uses).
-    walker_branch_limit: int = 16
-    #: MCTS simulation budget per search.  The search "completes" (is
-    #: not deadline-aborted) when this budget is exhausted before the
-    #: watchdog fires.
-    mcts_iterations: int = 192
-    #: UCB1 exploration constant, in units of the normalized reward
-    #: (0 = pure exploitation).
-    mcts_exploration: float = 0.7
-    #: Random-rollout depth below each newly expanded tree node.
-    mcts_rollout_depth: int = 4
-    #: Annealing step budget per search.  A step is one proposed child
-    #: (cheap next to an MCTS iteration's scored rollout), so the
-    #: budget is correspondingly larger.
-    annealing_iterations: int = 2400
-    #: Initial temperature, as a fraction of the search's utility scale
-    #: (the ideal-vs-null utility gap over the window).
-    annealing_initial_temperature: float = 0.35
-    #: Geometric cooling factor applied once per step (the default
-    #: reaches ~10% of the initial temperature over the default step
-    #: budget).
-    annealing_cooling: float = 0.999
-    #: Consecutive rejected/inapplicable moves before the walker
-    #: teleports back to its best incumbent (anytime restarts).
-    annealing_restart_interval: int = 60
     #: Supervised-pool respawns the search may attempt per run when a
     #: parallel executor fails (worker killed, pool died, stale fork)
     #: before pinning itself to the serial path permanently.
@@ -267,22 +233,6 @@ class SearchSettings:
             raise ValueError(
                 f"strategy must be one of {STRATEGY_KINDS} (or None)"
             )
-        if self.walker_branch_limit < 1:
-            raise ValueError("walker_branch_limit must be >= 1")
-        if self.mcts_iterations < 1:
-            raise ValueError("mcts_iterations must be >= 1")
-        if self.mcts_exploration < 0:
-            raise ValueError("mcts_exploration must be >= 0")
-        if self.mcts_rollout_depth < 0:
-            raise ValueError("mcts_rollout_depth must be >= 0")
-        if self.annealing_iterations < 1:
-            raise ValueError("annealing_iterations must be >= 1")
-        if self.annealing_initial_temperature <= 0:
-            raise ValueError("annealing_initial_temperature must be positive")
-        if not 0.0 < self.annealing_cooling <= 1.0:
-            raise ValueError("annealing_cooling must be in (0, 1]")
-        if self.annealing_restart_interval < 1:
-            raise ValueError("annealing_restart_interval must be >= 1")
         if self.executor_respawn_limit < 0:
             raise ValueError("executor_respawn_limit must be >= 0")
         if self.executor_respawn_backoff_seconds < 0:
@@ -744,7 +694,7 @@ class AdaptationSearch:
         self.on_executor_failure: Optional[Callable[[str], None]] = None
         #: Chaos-mode fault injector (attached by the testbed); handed
         #: to process executors (worker kills, shm corruption) and the
-        #: walker contexts (solver exceptions, strategy stalls).
+        #: polish backend (solver exceptions, strategy stalls).
         self.fault_injector = None
 
     # -- executor lifecycle ---------------------------------------------------
@@ -909,12 +859,11 @@ class AdaptationSearch:
     ) -> SearchOutcome:
         """Find the action sequence maximizing Eq. 3 over the window.
 
-        Dispatches to the configured :class:`SearchStrategy` backend
-        (``settings.strategy`` → ``MISTRAL_SEARCH_STRATEGY`` → the
-        default ``"astar"``; see DESIGN.md §14).  ``"astar"`` runs the
-        exact A* loop below with bit-identical outcomes to the
-        pre-strategy code; ``"mcts"``/``"annealing"`` run the seeded
-        anytime walkers in :mod:`repro.core.strategies`.
+        Runs the configured backend (``settings.strategy`` →
+        ``MISTRAL_SEARCH_STRATEGY`` → the default ``"astar"``; see
+        DESIGN.md §14): ``"astar"`` runs the exact A* loop below,
+        ``"polish"`` the deterministic anytime local search in
+        :mod:`repro.core.strategies`.
 
         ``expected_utility``/``expected_rate`` seed the self-aware
         budget ``UH`` (the paper uses the lowest of recent utilities);
@@ -925,49 +874,44 @@ class AdaptationSearch:
         """
         # Imported lazily: strategies.py imports this module's classes,
         # so a module-level import here would be circular.
-        from repro.core.strategies import resolve_strategy
+        from repro.core.strategies import polish_search, resolve_strategy_name
 
         settings = (
             self.settings if settings_override is None else settings_override
         )
-        strategy = resolve_strategy(settings.strategy)
-        strategy_name = strategy.name
-        try:
-            outcome = strategy.run(
-                self,
-                current,
-                workloads,
-                control_window,
-                expected_utility=expected_utility,
-                expected_rate=expected_rate,
-                settings_override=settings_override,
-            )
-        except Exception as error:
-            if strategy_name == "astar":
-                raise  # the exact loop has no fallback below it
-            # Walker failure degradation: an anytime backend blowing up
-            # mid-run (an injected solver fault, a real bug) must never
-            # cost the controller a decision — fall back to the exact
-            # A* incumbent path, which shares none of the walker's
-            # failed machinery, and tell the resilience ladder.
-            _phases.set_profile(None)  # the dead walker's, if any
-            if _telemetry.enabled:
-                registry = _telemetry.registry
-                registry.counter("search.strategy_failures").inc()
-                registry.counter(
-                    f"search.strategy.{strategy_name}.failures"
-                ).inc()
-                _telemetry.tracer.event(
-                    "search.strategy_failure",
-                    strategy=strategy_name,
-                    error=type(error).__name__,
-                    detail=str(error),
+        strategy_name = resolve_strategy_name(settings.strategy)
+        if strategy_name == "polish":
+            try:
+                outcome = polish_search(
+                    self, current, workloads, control_window, settings
                 )
-            if self.on_executor_failure is not None:
-                try:
-                    self.on_executor_failure("strategy_failure")
-                except Exception:
-                    pass  # resilience hooks must never kill the search
+            except Exception as error:
+                # Polish failure degradation: the anytime backend
+                # blowing up mid-run (an injected solver fault, a real
+                # bug) must never cost the controller a decision — fall
+                # back to the exact A* incumbent path, which shares none
+                # of polish's failed machinery, and tell the resilience
+                # ladder.
+                _phases.set_profile(None)  # the dead run's, if any
+                if _telemetry.enabled:
+                    registry = _telemetry.registry
+                    registry.counter("search.strategy_failures").inc()
+                    registry.counter(
+                        f"search.strategy.{strategy_name}.failures"
+                    ).inc()
+                    _telemetry.tracer.event(
+                        "search.strategy_failure",
+                        strategy=strategy_name,
+                        error=type(error).__name__,
+                        detail=str(error),
+                    )
+                if self.on_executor_failure is not None:
+                    try:
+                        self.on_executor_failure("strategy_failure")
+                    except Exception:
+                        pass  # resilience hooks must never kill the search
+                strategy_name = "astar"  # what actually decides
+        if strategy_name == "astar":
             outcome = self._astar_search(
                 current,
                 workloads,
@@ -976,7 +920,6 @@ class AdaptationSearch:
                 expected_rate,
                 settings_override,
             )
-            strategy_name = "astar"  # what actually decided
         outcome.strategy = strategy_name
         if _telemetry.enabled:
             registry = _telemetry.registry

@@ -1,46 +1,38 @@
-"""Pluggable search strategies over the configuration graph (DESIGN.md §14).
+"""The anytime ``"polish"`` search backend (DESIGN.md §14).
 
 The adaptation search is a maximization of Eq. 3 over action sequences;
-:class:`~repro.core.search.AdaptationSearch.search` dispatches it to one
-of three interchangeable backends:
+:class:`~repro.core.search.AdaptationSearch.search` runs it with one of
+two backends:
 
 - ``"astar"`` — the paper's exact Naive / Self-Aware A* (Algorithm 1),
-  run unchanged by :class:`AStarStrategy`.  Deterministic, proves
-  optimality on terminal pops, but its frontier grows combinatorially
-  with system size.
-- ``"mcts"`` — :class:`MctsStrategy`, a seeded UCB1-guided Monte-Carlo
-  tree search.  Each simulation selects a tree path by upper confidence
-  bound, expands one child, runs a short guided rollout, and backs the
-  normalized Eq. 3 reward up the path.  Rollout candidates are steady-
-  state-evaluated through ``UtilityEstimator.estimate_batch`` (the
-  vectorized ``LqnSolver.solve_batch`` kernel) and the incremental
-  delta path, so evaluation reuses the PR 1/PR 4 machinery wholesale.
-- ``"annealing"`` — :class:`AnnealingStrategy`, a seeded simulated-
-  annealing walk: propose a near-ideal action, accept improvements
-  always and regressions with probability ``exp(Δ/T)`` under a
-  geometric cooling schedule, teleporting back to the best incumbent
-  after a run of rejections.
+  ``AdaptationSearch._astar_search``.  Deterministic, proves optimality
+  on terminal pops, but its frontier grows combinatorially with system
+  size.
+- ``"polish"`` — :func:`polish_search`, a deterministic anytime local
+  search: install the planner's direct plans to the Perf-Pwr ideal
+  (and its alternatives) as incumbents, then refine them with a
+  dual-criterion beam, a short-plan sweep over the seed actions and
+  transposition/deletion hill-climbs.
 
-The stochastic backends share one contract (test-enforced by
+The polish backend's contract (test-enforced by
 ``tests/test_strategies.py``):
 
-- **Deterministic under a fixed seed** — all randomness flows from one
-  private ``random.Random(settings.strategy_seed)``; the wall clock is
+- **Deterministic** — it draws no random numbers; the wall clock is
   consulted only by the deadline watchdog.
 - **Anytime** — a feasible incumbent (at worst the explicit null plan)
-  exists from the first instant, so aborting at any point — budget
-  exhaustion, the PR 5 deadline watchdog, controller degradation —
-  returns a valid, executable plan.
+  exists from the first instant, so aborting at any point — the PR 5
+  deadline watchdog, controller degradation — returns a valid,
+  executable plan.
 - **Watchdog-composed** — ``settings.deadline_seconds`` is checked
-  cooperatively once per iteration/rollout step, so the wall-time
-  overshoot is bounded by a single step; deadline-aborted outcomes set
-  ``deadline_aborted`` and thereby feed the controller's degradation
-  ladder exactly like an aborted A* (PR 3/PR 5).
+  cooperatively once per node expanded, plan replayed and climb
+  variant, so the wall-time overshoot is bounded by a single step;
+  deadline-aborted outcomes set ``deadline_aborted`` and thereby feed
+  the controller's degradation ladder exactly like an aborted A*.
 
-Both walkers navigate the same action-enumeration space as the A*
+Polish navigates the same action-enumeration space as the A*
 (``AdaptationSearch._enumerate_actions`` with ideal-cap highways, scope
-filtering included) and price actions with the same Cost Manager
-transient model, so their plans are executable by the same Cluster and
+filtering included) and prices actions with the same Cost Manager
+transient model, so its plans are executable by the same Cluster and
 comparable utility-for-utility with the exact search.
 """
 
@@ -48,9 +40,8 @@ from __future__ import annotations
 
 import math
 import os
-import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from repro.core.actions import ActionError, AdaptationAction, NullAction
@@ -68,21 +59,7 @@ from repro.telemetry import phases as _phases
 from repro.telemetry import runtime as _telemetry
 from repro.telemetry.provenance import ProvenanceCollector, plan_breakdown
 
-#: MCTS rollout policy: score this many head entries of the distance-
-#: ranked proposal list per step, follow the best with this
-#: probability (else a uniform sibling).  Constants, not settings —
-#: they shape rollout quality, not the strategy contract.
-_ROLLOUT_WIDTH = 4
-_ROLLOUT_GREED = 0.75
-
-__all__ = [
-    "SearchStrategy",
-    "AStarStrategy",
-    "MctsStrategy",
-    "AnnealingStrategy",
-    "resolve_strategy",
-    "resolve_strategy_name",
-]
+__all__ = ["polish_search", "resolve_strategy_name"]
 
 
 def resolve_strategy_name(value: Optional[str]) -> str:
@@ -107,64 +84,24 @@ def resolve_strategy_name(value: Optional[str]) -> str:
     return value
 
 
-class SearchStrategy:
-    """Interface of a search backend (DESIGN.md §14).
-
-    A strategy is a stateless singleton: all per-run state lives in the
-    ``run`` invocation, so one instance serves concurrent searches
-    (the hierarchy's L1 thread pool included).  ``run`` must honour the
-    :class:`~repro.core.search.SearchOutcome` contract — a feasible
-    plan or the explicit null plan, ``deadline_aborted`` when the
-    watchdog cut it short — and must consume the wall clock only for
-    watchdog checks so fixed-seed runs stay deterministic.
-    """
-
-    #: Registry key; also stamped on ``SearchOutcome.strategy``.
-    name: str = "abstract"
-
-    def run(
-        self,
-        search,
-        current: Configuration,
-        workloads: Mapping[str, float],
-        control_window: float,
-        *,
-        expected_utility: Optional[float] = None,
-        expected_rate: Optional[float] = None,
-        settings_override: Optional[SearchSettings] = None,
-    ) -> SearchOutcome:
-        raise NotImplementedError
-
-
-class AStarStrategy(SearchStrategy):
-    """The exact A* loop, unchanged (bit-identical outcomes)."""
-
-    name = "astar"
-
-    def run(
-        self,
-        search,
-        current,
-        workloads,
-        control_window,
-        *,
-        expected_utility=None,
-        expected_rate=None,
-        settings_override=None,
-    ) -> SearchOutcome:
-        return search._astar_search(
-            current,
-            workloads,
-            control_window,
-            expected_utility,
-            expected_rate,
-            settings_override,
-        )
+def polish_search(
+    search,
+    current: Configuration,
+    workloads: Mapping[str, float],
+    control_window: float,
+    settings: SearchSettings,
+) -> SearchOutcome:
+    """Run the ``"polish"`` backend: seed plans, then polish them."""
+    ctx = _WalkContext(search, current, workloads, control_window, settings)
+    if ctx.ideal.configuration == current:
+        return ctx.finish(optimal=True, early_return=True)
+    ctx.seed_plans()
+    return ctx.finish(ctx.polish())
 
 
 @dataclass(slots=True)
 class _WalkNode:
-    """One position of a stochastic walker: a configuration plus the
+    """One position of the polish walk: a configuration plus the
     Eq. 3 accrual of the action chain that reached it (the same
     quantities an A* vertex carries, minus the frontier bookkeeping)."""
 
@@ -181,7 +118,7 @@ class _WalkNode:
 
 
 class _WalkContext:
-    """Shared per-run state of the stochastic walkers.
+    """Per-run state of the polish backend.
 
     Builds the same evaluation scaffolding the A* preamble does — the
     Perf-Pwr ideal (scope-projected for 1st-level controllers), the
@@ -222,8 +159,9 @@ class _WalkContext:
         #: Chaos-mode fault injector (``search.fault_injector``):
         #: solver-exception and strategy-stall injection points.
         self.injector = getattr(search, "fault_injector", None)
-        self.rng = random.Random(settings.strategy_seed)
-        self.iterations = 0
+        #: Nodes whose actions were enumerated (``ranked_actions``
+        #: cache misses) — polish's counterpart of A* expansions.
+        self.expansions = 0
         self.evaluations = 0
         self.candidate_offers = 0
         self.virtual_seconds = 0.0
@@ -235,7 +173,7 @@ class _WalkContext:
         self.profile = _phases.PhaseProfile() if _telemetry.enabled else None
         if self.profile is not None:
             _phases.set_profile(self.profile)
-        # The walkers always evaluate incrementally — the delta path is
+        # Polish always evaluates incrementally — the delta path is
         # bit-compatible with the full path (PR 1), so this is a
         # throughput choice, not a semantic one.
         ideal_weights, ideal_caps = search._ideal_distance_basis(ideal)
@@ -271,13 +209,6 @@ class _WalkContext:
         self.best_value = self.null_value
         self.best_actions: tuple = ()
         self.best_configuration = current
-        #: Reward normalization: one unit is the ideal-vs-null utility
-        #: gap over the window (floored so flat landscapes still grade).
-        self.scale = max(
-            self.window * self.ideal_rate - self.null_value,
-            0.05 * abs(self.window * self.ideal_rate),
-            1e-9,
-        )
         #: Ranked-action proposals per visited configuration (ranking
         #: is deterministic, so caching cannot change decisions).
         self._ranked: dict[Configuration, list] = {}
@@ -293,7 +224,7 @@ class _WalkContext:
 
     def out_of_time(self) -> bool:
         """Cooperative watchdog check (one clock read; no deadline →
-        no reads at all, keeping fixed-seed runs deterministic)."""
+        no reads at all, keeping runs deterministic)."""
         if self.deadline is None or self.deadline_hit:
             return self.deadline_hit
         if time.perf_counter() - self.wall_start >= self.deadline:
@@ -301,13 +232,14 @@ class _WalkContext:
         return self.deadline_hit
 
     def maybe_stall(self) -> None:
-        """Chaos injection: sleep one injected stall before this
-        iteration.  Placed right before the watchdog check so a stall
-        long enough to blow the deadline aborts the walker on the very
-        next ``out_of_time`` — the incumbent survives, the outcome is
-        stamped ``deadline_aborted``, and the ladder steps down."""
+        """Chaos injection: sleep one injected stall before a beam tier
+        or a climb start.  Placed right before the watchdog check so a
+        stall long enough to blow the deadline aborts polish on the
+        very next ``out_of_time`` — the incumbent survives, the outcome
+        is stamped ``deadline_aborted``, and the ladder steps down.  An
+        already-aborted search has nothing left to stall."""
         injector = self.injector
-        if injector is None:
+        if injector is None or self.deadline_hit:
             return
         seconds = injector.strategy_stall()
         if seconds > 0.0:
@@ -323,9 +255,9 @@ class _WalkContext:
         """Steady estimate of a node, via the incremental delta path
         when lineage allows (memoized per node).
 
-        Chaos mode may raise :class:`InjectedSolverFault` here — the
-        walkers let it propagate, and the search's dispatcher answers
-        with the exact-A* fallback (walker failure degradation).
+        Chaos mode may raise :class:`InjectedSolverFault` here — polish
+        lets it propagate, and ``AdaptationSearch.search`` answers with
+        the exact-A* fallback (polish failure degradation).
         """
         estimate = node.steady_cache
         if estimate is None:
@@ -365,7 +297,7 @@ class _WalkContext:
         """Local navigation score: the *true* Eq. 3 value of stopping
         here (steady-solved, not the admissible bound — the bound
         rewards any distance-reducing edit no matter how bad its real
-        rate, which sends a local walker straight downhill), deflated
+        rate, which sends a local search straight downhill), deflated
         for infeasible intermediates by the A*'s guidance potential
         (they still owe adaptation work before they can be committed).
         Estimates ride the incremental delta/cache path; batch-prewarm
@@ -413,20 +345,18 @@ class _WalkContext:
 
     # -- moves ---------------------------------------------------------
 
-    def ranked_actions(
-        self, node: _WalkNode, limit: Optional[int] = 0
-    ) -> list:
-        """The applicable actions from a node, closest-to-ideal first,
-        truncated to ``limit`` placement entries (``0`` → the
-        ``walker_branch_limit`` setting, ``None`` → untruncated) — the
-        same enumeration and distance ranking the self-aware prune
-        uses, so the walkers inherit scope filtering and ideal-cap
-        highways for free.  Entries are ``(action, delta)`` tuples;
-        host power toggles rank after the placement head regardless of
-        ``limit`` (their child distance ties with the parent's, yet
-        they are exactly the moves that finish a consolidation)."""
+    def ranked_actions(self, node: _WalkNode) -> list:
+        """The applicable actions from a node, closest-to-ideal first —
+        the same enumeration and distance ranking the self-aware prune
+        uses, so polish inherits scope filtering and ideal-cap highways
+        for free.  Entries are ``(action, delta)`` tuples; host power
+        toggles rank after the placements (their child distance ties
+        with the parent's, yet they are exactly the moves that finish a
+        consolidation).  Each cache miss is one expansion, charged
+        ``per_vertex_seconds`` like an A* expansion."""
         cached = self._ranked.get(node.configuration)
         if cached is None:
+            self.expansions += 1
             search = self.search
             with _phases.phase("enumerate"):
                 possible = search._enumerate_actions(
@@ -436,7 +366,7 @@ class _WalkContext:
             toggles = []
             for order, action in enumerate(possible):
                 if isinstance(action, NullAction):
-                    continue  # walkers offer candidates directly
+                    continue  # polish offers candidates directly
                 try:
                     delta = action.placement_delta(
                         node.configuration, search.catalog, search.limits
@@ -455,20 +385,14 @@ class _WalkContext:
                     )
                 )
             entries.sort(key=lambda entry: (entry[0], entry[1]))
-            self.virtual_seconds += (len(entries) + len(toggles)) * (
-                self.settings.per_child_apply_seconds
-            )
-            cached = (
-                [(action, delta) for _, _, action, delta in entries],
-                toggles,
-            )
+            self.virtual_seconds += self.settings.per_vertex_seconds + (
+                len(entries) + len(toggles)
+            ) * self.settings.per_child_apply_seconds
+            cached = [
+                (action, delta) for _, _, action, delta in entries
+            ] + toggles
             self._ranked[node.configuration] = cached
-        placements, toggles = cached
-        if limit == 0:
-            limit = self.settings.walker_branch_limit
-        if limit is not None:
-            placements = placements[:limit]
-        return placements + toggles
+        return cached
 
     def make_child(
         self, node: _WalkNode, action: AdaptationAction, delta: tuple
@@ -519,18 +443,16 @@ class _WalkContext:
         self.virtual_seconds += self.settings.per_child_eval_seconds
         return child
 
-    def seed_plans(self) -> list:
+    def seed_plans(self) -> None:
         """Install the direct transition plans to the ideal (and its
         Perf-Pwr alternatives) as starting incumbents — the same
-        seeding the A* uses, so a stochastic walker starts from the
-        planner's best direct plan and can only improve on it.
-
-        Returns the seed chains (one ``[_WalkNode, ...]`` per target,
-        root excluded) so a strategy can plant them in its own
-        structures — the MCTS tree skeleton, an annealing anchor."""
+        seeding the A* uses, so polish starts from the planner's best
+        direct plan and can only improve on it.  The seed chains (one
+        ``[_WalkNode, ...]`` per target, root excluded) are kept for
+        :meth:`sweep` and :meth:`polish`."""
         chains: list[list[_WalkNode]] = []
         if not self.settings.seed_with_plan:
-            return chains
+            return
         search = self.search
         targets = [self.ideal.configuration] + [
             alternative.configuration
@@ -566,7 +488,6 @@ class _WalkContext:
             self.settings.max_plan_actions, max(self.depth_limit, longest + 3)
         )
         self.seed_chains = chains
-        return chains
 
     def replay(self, actions) -> Optional[_WalkNode]:
         """Re-walk an action sequence from the root, offering every
@@ -648,12 +569,13 @@ class _WalkContext:
         tier_mark = -math.inf
         with _phases.phase("score"):
             for _ in range(self.depth_limit):
+                self.maybe_stall()
                 mark = self.best_value
                 children: list[_WalkNode] = []
                 for node in tier:
                     if self.out_of_time():
                         return depths
-                    for action, delta in self.ranked_actions(node, None):
+                    for action, delta in self.ranked_actions(node):
                         child = self.make_child(node, action, delta)
                         if child is not None:
                             children.append(child)
@@ -739,9 +661,9 @@ class _WalkContext:
             if not improved:
                 return
 
-    def polish(self) -> int:
-        """Deterministic local refinement: hill-climb the incumbent
-        plan *and* each seed chain's full plan.
+    def polish(self) -> dict:
+        """Deterministic local refinement: beam, sweep, then hill-climb
+        the incumbent plan *and* each seed chain's full plan.
 
         Transient cost depends on action *order* (Eq. 3 accrues each
         action's rate over its duration), so the planner's direct chain
@@ -749,7 +671,8 @@ class _WalkContext:
         and dropping steps whose rate never pays back — exactly the
         reorderings the A* finds by search.  Candidate prefixes are
         offered during every replay, which subsumes plan truncation.
-        Returns the number of starts climbed."""
+        Returns the run's tallies (``beam_tiers``, ``sweep_replays``,
+        ``climb_starts``)."""
         starts = []
         for chain in self.seed_chains:
             actions = chain[-1].actions
@@ -757,35 +680,43 @@ class _WalkContext:
                 starts.append(actions)
         if self.best_actions and self.best_actions not in starts:
             starts.append(self.best_actions)
-        self.beam()
-        self.sweep()
+        beam_tiers = self.beam()
+        sweep_replays = self.sweep()
         if self.best_actions and self.best_actions not in starts:
             starts.append(self.best_actions)
+        climbs = 0
         with _phases.phase("score"):
             for base in starts:
+                self.maybe_stall()
                 if self.out_of_time():
                     break
                 self._climb(base)
+                climbs += 1
             # Climbs can improve the *global* incumbent through offered
             # prefixes without their local best following it; re-climb
             # the incumbent until it stops moving so gains compound
             # across starts.
             for _ in range(4):
+                self.maybe_stall()
                 if self.out_of_time():
                     break
                 incumbent = self.best_actions
                 if not incumbent:
                     break
                 self._climb(incumbent)
+                climbs += 1
                 if self.best_actions == incumbent:
                     break
-        return len(starts)
+        return {
+            "beam_tiers": beam_tiers,
+            "sweep_replays": sweep_replays,
+            "climb_starts": climbs,
+        }
 
     # -- outcome -------------------------------------------------------
 
     def finish(
         self,
-        strategy_name: str,
         stats: Optional[dict] = None,
         *,
         optimal: bool = False,
@@ -794,7 +725,8 @@ class _WalkContext:
         """Assemble the outcome and emit the one telemetry record per
         search — mirroring the A*'s ``complete`` funnel (``search.run``
         event, watchdog/pruning counters, phase profile, decision
-        provenance) plus the per-strategy counters."""
+        provenance) plus polish's own ``search.strategy.polish.*``
+        tallies."""
         if self.profile is not None:
             _phases.set_profile(None)
         actions = tuple(
@@ -810,7 +742,7 @@ class _WalkContext:
             final_configuration=self.best_configuration,
             predicted_utility=self.best_value,
             ideal=self.ideal,
-            expansions=self.iterations,
+            expansions=self.expansions,
             decision_seconds=decision_seconds,
             wall_seconds=time.perf_counter() - self.wall_start,
             pruning_activated=False,
@@ -836,12 +768,11 @@ class _WalkContext:
             registry.counter("search.candidates").inc(self.candidate_offers)
             if early_return:
                 registry.counter("search.early_returns").inc()
-            prefix = f"search.strategy.{strategy_name}"
-            registry.counter(f"{prefix}.iterations").inc(self.iterations)
-            registry.counter(f"{prefix}.evaluations").inc(self.evaluations)
             for key, value in (stats or {}).items():
-                if isinstance(value, int) and value > 0:
-                    registry.counter(f"{prefix}.{key}").inc(value)
+                if value > 0:
+                    registry.counter(f"search.strategy.polish.{key}").inc(
+                        value
+                    )
             registry.gauge("search.heuristic_gap").set(
                 self.window * self.ideal_rate - outcome.predicted_utility
             )
@@ -929,338 +860,9 @@ class _WalkContext:
                         "array_core": False,
                         "wall_seconds": outcome.wall_seconds,
                         "decision_seconds": outcome.decision_seconds,
-                        "strategy": strategy_name,
-                        **{
-                            key: value
-                            for key, value in (stats or {}).items()
-                        },
+                        "strategy": "polish",
+                        **(stats or {}),
                     },
                     per_action=per_action,
                 )
         return outcome
-
-
-@dataclass(slots=True)
-class _TreeNode:
-    """One MCTS tree node (statistics over a :class:`_WalkNode`)."""
-
-    node: _WalkNode
-    #: ``None`` until first visited; then the not-yet-expanded child
-    #: nodes as ``(walk_score, _WalkNode)``, best first — built by one
-    #: A*-style full expansion round (all proposals materialized,
-    #: batch-evaluated, candidates offered to the incumbent).
-    untried: Optional[list] = None
-    children: list = field(default_factory=list)
-    visits: int = 0
-    value_sum: float = 0.0
-
-
-class MctsStrategy(SearchStrategy):
-    """Seeded UCB1-guided Monte-Carlo tree search (anytime)."""
-
-    name = "mcts"
-
-    def run(
-        self,
-        search,
-        current,
-        workloads,
-        control_window,
-        *,
-        expected_utility=None,
-        expected_rate=None,
-        settings_override=None,
-    ) -> SearchOutcome:
-        settings = (
-            search.settings if settings_override is None else settings_override
-        )
-        ctx = _WalkContext(search, current, workloads, control_window, settings)
-        if ctx.ideal.configuration == current:
-            return ctx.finish(self.name, optimal=True, early_return=True)
-        exploration = settings.mcts_exploration
-        rollout_depth = settings.mcts_rollout_depth
-        rng = ctx.rng
-        root = _TreeNode(ctx.root)
-        rollout_steps = 0
-        tree_nodes = 1
-        # Plant the planner's direct seed chains as tree skeletons:
-        # the search starts with the A*'s seed plans in the tree and
-        # spends its budget refining around them instead of
-        # rediscovering the route to the ideal from scratch.
-        for chain in ctx.seed_plans():
-            parent = root
-            for walk_node in chain:
-                child_tree = _TreeNode(walk_node)
-                parent.children.append(child_tree)
-                tree_nodes += 1
-                parent = child_tree
-        max_depth = ctx.depth_limit
-
-        def proposals(tree_node: _TreeNode) -> list:
-            """Lazy full expansion: on a node's first visit, build and
-            batch-evaluate *all* its proposal children (one A* expansion
-            round), offer the candidates, and keep the rest sorted by
-            walk score as the untried pool."""
-            if tree_node.untried is None:
-                if len(tree_node.node.actions) >= max_depth:
-                    tree_node.untried = []
-                else:
-                    children = []
-                    with _phases.phase("score"):
-                        for action, delta in ctx.ranked_actions(
-                            tree_node.node
-                        ):
-                            child = ctx.make_child(
-                                tree_node.node, action, delta
-                            )
-                            if child is None:
-                                continue
-                            children.append(child)
-                    ctx.prewarm(children)
-                    with _phases.phase("score"):
-                        scored = []
-                        for child in children:
-                            if child.is_candidate:
-                                ctx.offer(child)
-                            scored.append((ctx.walk_score(child), child))
-                    scored.sort(key=lambda pair: pair[0], reverse=True)
-                    tree_node.untried = scored
-            return tree_node.untried
-
-        for _ in range(settings.mcts_iterations):
-            ctx.maybe_stall()
-            if ctx.out_of_time():
-                break
-            ctx.iterations += 1
-            ctx.virtual_seconds += settings.per_vertex_seconds
-            # Selection with progressive widening: a node may hold at
-            # most ~sqrt(visits) expanded children, so the budget deepens
-            # along strong lines (the planted seed chains included)
-            # instead of fanning the root out breadth-first.
-            tree_node = root
-            path = [root]
-            expand_here = False
-            while True:
-                untried = proposals(tree_node)
-                width = 1 + int(math.sqrt(tree_node.visits))
-                if untried and len(tree_node.children) < width:
-                    expand_here = True
-                    break
-                if not tree_node.children:
-                    break  # exhausted leaf
-                log_n = math.log(tree_node.visits + 1.0)
-                best = None
-                best_score = -math.inf
-                for child in tree_node.children:
-                    if child.visits:
-                        score = (
-                            child.value_sum / child.visits
-                            + exploration * math.sqrt(log_n / child.visits)
-                        )
-                    else:
-                        score = math.inf
-                    if score > best_score:
-                        best_score = score
-                        best = child
-                tree_node = best
-                path.append(tree_node)
-            # Expansion: promote one untried child to the tree —
-            # best-first with a seeded jitter over the score-sorted
-            # head, so strong siblings all get explored without the
-            # pool degenerating to a fixed order.
-            cursor = tree_node.node
-            if expand_here:
-                untried = proposals(tree_node)
-                if untried:
-                    _, child_node = untried.pop(
-                        rng.randrange(min(3, len(untried)))
-                        if rng.random() < 0.5
-                        else rng.randrange(len(untried))
-                    )
-                    child_tree = _TreeNode(child_node)
-                    tree_node.children.append(child_tree)
-                    tree_nodes += 1
-                    path.append(child_tree)
-                    cursor = child_node
-            # Rollout: a short utility-guided ε-greedy walk below the
-            # new node — score the head of the distance-ranked proposal
-            # list with the solver-free walk score, usually follow the
-            # best, sometimes a random sibling.  Every candidate met on
-            # the way is a potential incumbent.
-            pending = [cursor] if cursor.is_candidate else []
-            with _phases.phase("rollout"):
-                for _ in range(rollout_depth):
-                    if ctx.out_of_time():
-                        break
-                    if len(cursor.actions) >= max_depth:
-                        break
-                    ranked = ctx.ranked_actions(cursor)
-                    if not ranked:
-                        break
-                    proposals_now = ranked[:_ROLLOUT_WIDTH] + [
-                        pair for pair in ranked[_ROLLOUT_WIDTH:] if not pair[1]
-                    ]
-                    children = []
-                    for action, delta in proposals_now:
-                        child = ctx.make_child(cursor, action, delta)
-                        if child is None:
-                            continue
-                        if child.is_candidate:
-                            pending.append(child)
-                        children.append(child)
-                    if not children:
-                        break
-                    ctx.prewarm(children)
-                    scored = [
-                        (ctx.walk_score(child), child) for child in children
-                    ]
-                    rollout_steps += 1
-                    if rng.random() < _ROLLOUT_GREED:
-                        cursor = max(scored, key=lambda pair: pair[0])[1]
-                    else:
-                        cursor = scored[rng.randrange(len(scored))][1]
-            # Evaluate the rollout's candidates (batched through
-            # ``solve_batch`` when several are cold) and back the best
-            # normalized reward up the selection path.
-            best_seen = -math.inf
-            if pending:
-                ctx.prewarm(pending)
-                with _phases.phase("score"):
-                    for node in pending:
-                        value = ctx.offer(node)
-                        if value > best_seen:
-                            best_seen = value
-            if best_seen == -math.inf:
-                best_seen = ctx.walk_score(cursor)
-            reward = (best_seen - ctx.null_value) / ctx.scale
-            if reward > 1.0:
-                reward = 1.0
-            elif reward < -1.0:
-                reward = -1.0
-            for visited in path:
-                visited.visits += 1
-                visited.value_sum += reward
-        polish_passes = ctx.polish()
-        return ctx.finish(
-            self.name,
-            {
-                "rollout_steps": rollout_steps,
-                "tree_nodes": tree_nodes,
-                "polish_passes": polish_passes,
-            },
-        )
-
-
-class AnnealingStrategy(SearchStrategy):
-    """Seeded simulated-annealing walk over action chains (anytime)."""
-
-    name = "annealing"
-
-    def run(
-        self,
-        search,
-        current,
-        workloads,
-        control_window,
-        *,
-        expected_utility=None,
-        expected_rate=None,
-        settings_override=None,
-    ) -> SearchOutcome:
-        settings = (
-            search.settings if settings_override is None else settings_override
-        )
-        ctx = _WalkContext(search, current, workloads, control_window, settings)
-        if ctx.ideal.configuration == current:
-            return ctx.finish(self.name, optimal=True, early_return=True)
-        chains = ctx.seed_plans()
-        rng = ctx.rng
-        max_depth = ctx.depth_limit
-        temperature = settings.annealing_initial_temperature
-        cooling = settings.annealing_cooling
-        restart_after = settings.annealing_restart_interval
-        # The walk compares positions on one consistent scale — the
-        # solver-free walk score (Eq. 3 bound minus the A*'s guidance
-        # potential); candidates are offered to the incumbent as a side
-        # effect, with their exact batched/delta steady values.
-        #
-        # Restart anchor: the best-scoring node seen so far — seeded
-        # with the planner's direct chains, so the walk starts in the
-        # neighborhood of the direct route to the ideal.
-        best_node = ctx.root
-        best_node_score = ctx.walk_score(ctx.root)
-        for chain in chains:
-            for node in chain:
-                score = ctx.walk_score(node)
-                if score > best_node_score:
-                    best_node, best_node_score = node, score
-        cursor, cursor_score = best_node, best_node_score
-        accepted = 0
-        restarts = 0
-        rejects = 0
-        for _ in range(settings.annealing_iterations):
-            ctx.maybe_stall()
-            if ctx.out_of_time():
-                break
-            ctx.iterations += 1
-            ctx.virtual_seconds += settings.per_vertex_seconds
-            if len(cursor.actions) >= max_depth:
-                cursor, cursor_score = best_node, best_node_score
-                restarts += 1
-                rejects = 0
-            ranked = ctx.ranked_actions(cursor)
-            if not ranked:
-                if cursor is ctx.root:
-                    break  # nowhere to move at all
-                cursor, cursor_score = ctx.root, ctx.walk_score(ctx.root)
-                restarts += 1
-                continue
-            action, delta = ranked[rng.randrange(len(ranked))]
-            with _phases.phase("score"):
-                child = ctx.make_child(cursor, action, delta)
-                if child is None:
-                    child_score = None
-                else:
-                    child_score = ctx.walk_score(child)
-                    if child.is_candidate:
-                        ctx.offer(child)
-                    if child_score > best_node_score:
-                        best_node, best_node_score = child, child_score
-            temperature *= cooling
-            if child_score is None:
-                rejects += 1
-            else:
-                gain = child_score - cursor_score
-                if gain >= 0.0 or rng.random() < math.exp(
-                    gain / max(temperature * ctx.scale, 1e-12)
-                ):
-                    cursor, cursor_score = child, child_score
-                    accepted += 1
-                    rejects = 0
-                else:
-                    rejects += 1
-            if rejects >= restart_after:
-                cursor, cursor_score = best_node, best_node_score
-                restarts += 1
-                rejects = 0
-        polish_passes = ctx.polish()
-        return ctx.finish(
-            self.name,
-            {
-                "accepted_moves": accepted,
-                "restarts": restarts,
-                "polish_passes": polish_passes,
-            },
-        )
-
-
-_REGISTRY: dict[str, SearchStrategy] = {
-    strategy.name: strategy
-    for strategy in (AStarStrategy(), MctsStrategy(), AnnealingStrategy())
-}
-
-
-def resolve_strategy(value: Optional[str]) -> SearchStrategy:
-    """The strategy singleton for a ``SearchSettings.strategy`` value
-    (``None`` resolves through ``MISTRAL_SEARCH_STRATEGY``)."""
-    return _REGISTRY[resolve_strategy_name(value)]

@@ -25,8 +25,8 @@ Three fault surfaces:
   machinery misbehaves: a pool worker process is killed mid-round, the
   shared-memory configuration channel is corrupted (flipped payload
   byte or torn sequence number), a checkpoint write lands corrupt on
-  disk, the LQN solver raises mid-evaluation, or an anytime walker
-  stalls long enough to trip the search watchdog.  Each family has its
+  disk, the LQN solver raises mid-evaluation, or the anytime polish
+  search stalls long enough to trip the search watchdog.  Each family has its
   own probability knob and, like every other surface, consumes no
   randomness while its knob is zero.
 
@@ -214,12 +214,12 @@ class FaultConfig:
     #: corrupted (one flipped byte of the serialized envelope).
     checkpoint_corruption_probability: float = 0.0
     #: Per candidate steady-state evaluation inside the anytime
-    #: walkers: probability the solver raises
+    #: polish search: probability the solver raises
     #: :class:`InjectedSolverFault`.
     solver_exception_probability: float = 0.0
-    #: Per walker iteration: probability the strategy stalls for
-    #: ``strategy_stall_seconds`` of real wall time (long enough to
-    #: trip a configured watchdog deadline).
+    #: Per polish beam tier or climb start: probability the search
+    #: stalls for ``strategy_stall_seconds`` of real wall time (long
+    #: enough to trip a configured watchdog deadline).
     strategy_stall_probability: float = 0.0
     #: Duration of one injected strategy stall, in wall seconds.
     strategy_stall_seconds: float = 0.1
@@ -454,7 +454,7 @@ class FaultInjector:
         return False
 
     def strategy_stall(self) -> float:
-        """Stall seconds for one walker iteration (0.0 = no stall)."""
+        """Stall seconds for one polish step (0.0 = no stall)."""
         probability = self.config.strategy_stall_probability
         if probability <= 0.0:
             return 0.0

@@ -39,9 +39,9 @@ from repro.workload.traces import standard_traces
 #: rows extrapolate the paper's 2-hosts-per-app ratio to give the
 #: parallel-evaluation benchmarks a size where rounds are wide enough
 #: to amortize batching.  The 10-25-app tier (20-50 hosts, the ROADMAP
-#: north-star scale) exists for the anytime strategies: the exact A*
-#: frontier explodes there and only returns a plan by deadline abort,
-#: while the stochastic walkers keep improving an incumbent
+#: north-star scale) exists for the anytime polish backend: the exact
+#: A* frontier explodes there and only returns a plan by deadline
+#: abort, while polish returns a complete plan in time
 #: (docs/SEARCH_STRATEGIES.md).
 HOSTS_FOR_APPS = {
     1: 2, 2: 4, 3: 6, 4: 8, 5: 10, 6: 12,
@@ -154,7 +154,7 @@ def build_mistral(
     (the ablation benchmarks exercise these).
 
     ``search_strategy`` selects the search backend every controller
-    plans with (``"astar"``/``"mcts"``/``"annealing"``, DESIGN.md §14);
+    plans with (``"astar"``/``"polish"``, DESIGN.md §14);
     ``None`` defers to ``SearchSettings.strategy`` and the
     ``MISTRAL_SEARCH_STRATEGY`` environment variable.
 

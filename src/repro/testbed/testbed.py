@@ -287,7 +287,7 @@ class Testbed:
         whether or not ``parallel`` was given (controllers built with
         their own ``parallel_workers`` rebuild pools on demand).
 
-        ``search_strategy`` (``"astar"``/``"mcts"``/``"annealing"``)
+        ``search_strategy`` (``"astar"``/``"polish"``)
         repoints every search the controller owns at that backend for
         this run (DESIGN.md §14); ``None`` leaves whatever the searches
         were built with.  Note this is the *search* backend — the
@@ -325,7 +325,7 @@ class Testbed:
 
         When ``faults`` is given, the same injector also drives the
         process-chaos surfaces: it is attached to every search
-        (worker kills, shm corruption, injected solver faults, walker
+        (worker kills, shm corruption, injected solver faults, polish
         stalls — all inert at their default zero probabilities) and,
         when ``checkpoint`` is given, to the store's
         ``corruption_hook``.
@@ -362,7 +362,7 @@ class Testbed:
             if hasattr(controller, "enable_resilience"):
                 controller.enable_resilience(resilience)
             # Process-chaos surfaces: every search draws its worker
-            # kills / shm corruption / solver faults / walker stalls
+            # kills / shm corruption / solver faults / polish stalls
             # from the same seeded injector, and checkpoint writes may
             # rot through the store's corruption hook.  All surfaces
             # are draw-isolated — zero-probability knobs consume no

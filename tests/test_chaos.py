@@ -2,7 +2,7 @@
 
 The contract under test (DESIGN.md §10): chaos mode injects faults into
 the controller's own machinery — worker pools, the shared-memory
-channel, the walkers' evaluation path — and the hardening layers must
+channel, polish's evaluation path — and the hardening layers must
 absorb them without changing *what* is decided.  Every test here pins a
 fault probability to 1.0 (deterministic injection) and asserts the
 decision is bit-identical to the fault-free path, plus the referee
@@ -42,8 +42,16 @@ OUTCOME_FIELDS = (
 
 
 def _make_search(testbed, **settings_kwargs) -> AdaptationSearch:
+    # Worker pools and the shared-memory channel serve only the A*
+    # rounds: pin the backend so a MISTRAL_SEARCH_STRATEGY environment
+    # cannot route a search around the surfaces under test.
     settings = SearchSettings(
-        self_aware=True, incremental=True, **settings_kwargs
+        **{
+            "self_aware": True,
+            "incremental": True,
+            "strategy": "astar",
+            **settings_kwargs,
+        }
     )
     # A private estimator/optimizer pair: the session testbed's memo
     # caches are shared, and warming them with this module's workloads
@@ -277,17 +285,23 @@ def test_shm_corruption_triggers_resync_and_decides_identically(
     assert not search._parallel_failed
 
 
-@pytest.mark.parametrize("name", ("mcts", "annealing"))
-def test_solver_fault_falls_back_to_exact_astar(name, small_testbed):
-    """An injected LQN solver failure inside a walker's evaluation path
-    must never cost the controller a decision: the dispatcher answers
-    with the exact A* incumbent path (which shares none of the walker's
-    machinery) and stamps what actually decided."""
+#: The retired anytime walkers whose evaluation path ``"polish"`` now
+#: runs; the fallback guarantee each of them had is pinned on polish.
+RETIRED_WALKERS = ("mcts", "annealing")
+
+
+@pytest.mark.parametrize("walker", RETIRED_WALKERS)
+def test_solver_fault_falls_back_to_exact_astar(walker, small_testbed):
+    """An injected LQN solver failure inside polish's evaluation path
+    (which replaced the retired walker's) must never cost the
+    controller a decision: ``search`` answers with the exact A*
+    incumbent path (which shares none of polish's machinery) and
+    stamps what actually decided."""
     reference = _run(
         _make_search(small_testbed, strategy="astar"), small_testbed
     )
 
-    search = _make_search(small_testbed, strategy=name)
+    search = _make_search(small_testbed, strategy="polish")
     search.fault_injector = FaultInjector(
         FaultConfig(seed=7, solver_exception_probability=1.0)
     )

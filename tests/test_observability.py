@@ -326,7 +326,7 @@ def _traced_parallel_run(tmp_path, testbed, executor: str) -> list[dict]:
             parallel_workers=2,
             parallel_executor=executor,
             # Worker spans come from the A* expansion rounds; the
-            # walkers evaluate in-process (pin against the
+            # polish backend evaluates in-process (pin against the
             # MISTRAL_SEARCH_STRATEGY env leg).
             strategy="astar",
         ),
