@@ -77,15 +77,10 @@ def bench_search(
     incremental: bool,
     runs: int = 5,
     window: float = 300.0,
-    parallel_workers: Optional[int] = None,
     strategy: Optional[str] = None,
     deadline_seconds: Optional[float] = None,
 ) -> dict:
     """Mean/min time of one adaptation search at one system size.
-
-    ``parallel_workers`` dispatches each round's cost predictions to a
-    worker pool (DESIGN.md §11); outcomes are bit-identical to the
-    serial path, so the column measures pure evaluation speed.
 
     ``strategy`` pins the search backend (DESIGN.md §14): ``"astar"``
     to shield the measurement from the ``MISTRAL_SEARCH_STRATEGY``
@@ -103,12 +98,6 @@ def bench_search(
         settings_kwargs["max_expansions"] = 2500
     if "incremental" in _SETTINGS_FIELDS:
         settings_kwargs["incremental"] = incremental
-    if parallel_workers is not None:
-        if "parallel_workers" not in _SETTINGS_FIELDS:
-            raise ValueError(
-                "this checkout predates the parallel evaluation stage"
-            )
-        settings_kwargs["parallel_workers"] = parallel_workers
     if strategy is not None:
         if "strategy" not in _SETTINGS_FIELDS:
             raise ValueError(
@@ -151,14 +140,11 @@ def bench_search(
         utilities.append(float(outcome.predicted_utility))
         if getattr(outcome, "deadline_aborted", False):
             deadline_aborts += 1
-    if hasattr(search, "close_executor"):
-        search.close_executor()
     return {
         "app_count": app_count,
         "host_count": len(testbed.host_ids),
         "self_aware": self_aware,
         "incremental": incremental,
-        "parallel_workers": parallel_workers,
         "strategy": strategy,
         "deadline_seconds": deadline_seconds,
         "runs": runs,
@@ -312,7 +298,6 @@ def run_suite(
     sizes: tuple[int, ...] = SYSTEM_SIZES,
     runs: int = 5,
     incremental_only: bool = False,
-    workers: Optional[int] = None,
     metrics_size: Optional[int] = None,
     strategy: Optional[str] = None,
     strategy_deadline: Optional[float] = None,
@@ -322,11 +307,7 @@ def run_suite(
 
     ``incremental_only`` skips the (slower) full-evaluation search
     variants — useful for a quick look at the current numbers.
-    ``workers`` adds a ``self_aware_parallel`` column per scenario —
-    measured back to back with the serial ``self_aware`` column, the
-    reference :func:`summarize_parallel` divides by, so the two are
-    comparable within one run of the suite.  ``metrics_size``
-    picks the scenario the instrumented telemetry pass runs at
+    ``metrics_size`` picks the scenario the instrumented telemetry pass runs at
     (default: the smallest benchmarked size).
 
     ``strategy`` adds one anytime column per scenario (labelled by the
@@ -342,14 +323,6 @@ def run_suite(
             scenario[label] = bench_search(
                 app_count, self_aware, incremental=True, runs=runs
             )
-            if self_aware and workers is not None:
-                scenario["self_aware_parallel"] = bench_search(
-                    app_count,
-                    self_aware,
-                    incremental=True,
-                    runs=runs,
-                    parallel_workers=workers,
-                )
             if not incremental_only:
                 scenario[f"{label}_full_eval"] = bench_search(
                     app_count, self_aware, incremental=False, runs=runs
@@ -379,29 +352,6 @@ def run_suite(
             app_count=metrics_size if metrics_size is not None else min(sizes)
         ),
     }
-
-
-def summarize_parallel(
-    search: Mapping[str, Mapping[str, Mapping[str, float]]],
-) -> dict:
-    """Serial / parallel mean-search-seconds ratio per scenario.
-
-    The numerator is the serial ``self_aware`` column, the denominator
-    ``self_aware_parallel``; both run the same array rounds and differ
-    only in the worker pool, so the ratio measures the workers alone.
-    Both come from the same suite run (same machine state, measured
-    back to back) and the searches are bit-identical.
-    """
-    speedups: dict[str, Optional[float]] = {}
-    for scenario, variants in search.items():
-        reference = variants.get("self_aware", {}).get("mean_search_seconds")
-        parallel = variants.get("self_aware_parallel", {}).get(
-            "mean_search_seconds"
-        )
-        speedups[scenario] = (
-            (reference / parallel) if reference and parallel else None
-        )
-    return speedups
 
 
 def summarize_speedup(

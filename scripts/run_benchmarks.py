@@ -6,7 +6,7 @@ Usage::
     python scripts/run_benchmarks.py                  # measure, write JSON
     python scripts/run_benchmarks.py --runs 3 --sizes 2 3
     python scripts/run_benchmarks.py --baseline-src /path/to/old/src
-    python scripts/run_benchmarks.py --workers 4 --sizes 2 3 4 6
+    python scripts/run_benchmarks.py --sizes 2 3 4 6 --strategy polish
 
 The output records the current tree's numbers next to the pre-change
 baseline (either the numbers recorded in
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -46,7 +47,7 @@ def _bootstrap(src: Path) -> None:
 
 
 def _measure(src: Path, sizes: tuple[int, ...], runs: int,
-             incremental_only: bool, workers: int | None = None,
+             incremental_only: bool,
              metrics_size: int | None = None,
              strategy: str | None = None,
              strategy_deadline: float | None = None) -> dict:
@@ -58,15 +59,11 @@ def _measure(src: Path, sizes: tuple[int, ...], runs: int,
     import search_harness
 
     kwargs = {}
-    if workers is not None:
-        # Baseline checkouts predate the parallel column; only the
-        # current tree is asked for it.
-        kwargs["workers"] = workers
     if metrics_size is not None:
         kwargs["metrics_size"] = metrics_size
     if strategy is not None:
-        # Likewise the pluggable-strategy column: never asked of a
-        # --baseline-src checkout.
+        # Baseline checkouts predate the pluggable-strategy column;
+        # only the current tree is asked for it.
         kwargs["strategy"] = strategy
         kwargs["strategy_deadline"] = strategy_deadline
     return search_harness.run_suite(
@@ -88,45 +85,19 @@ def _git_dirty() -> str:
         return ""
 
 
-def _write_parallel_block(payload: dict, workers: int) -> None:
-    """Record the serial-vs-parallel table as ``results/parallel_search.txt``
-    so ``scripts/build_experiments_md.py`` can fold it into EXPERIMENTS.md."""
-    meta = payload["meta"]
-    lines = [
-        "Evaluation stage — self-aware search, serial array rounds vs "
-        f"array rounds with --workers {workers}",
-        f"commit {meta['commit']}, python {meta['python']}, "
-        f"{meta['runs_per_scenario']} runs/scenario "
-        "(mean_search_seconds, wall)",
-        "",
-        f"{'scenario':<10} {'serial [s]':>11} {'parallel [s]':>13} "
-        f"{'speedup':>8}",
-    ]
-    for scenario, ratio in payload["parallel_speedup"].items():
-        if ratio is None:
-            continue
-        entry = payload["current"]["search"][scenario]
-        reference = entry["self_aware"]["mean_search_seconds"]
-        parallel = entry["self_aware_parallel"]["mean_search_seconds"]
-        lines.append(
-            f"{scenario:<10} {reference:>11.4f} {parallel:>13.4f} "
-            f"{ratio:>7.2f}x"
-        )
-    lines += [
-        "",
-        "Outcomes are bit-identical across columns (DESIGN.md §11/§13); "
-        "the ratio is pure wall-clock.",
-        "Both columns run the array-native rounds; the parallel column "
-        "dispatches their cost",
-        "predictions to the worker pool, so the ratio measures the "
-        "workers alone.",
-        "Small scenarios give the pool too little work per round to "
-        "pay for dispatch; single-core machines resolve the pool to "
-        "the inline path.",
-    ]
-    results = REPO_ROOT / "results"
-    results.mkdir(exist_ok=True)
-    (results / "parallel_search.txt").write_text("\n".join(lines) + "\n")
+def _meta(args, sizes: tuple[int, ...], commit: str) -> dict:
+    """What a recording ran on: commit, interpreter, machine and core
+    count, plus the arguments that shape its columns."""
+    return {
+        "commit": commit,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "nproc": os.cpu_count(),
+        "runs_per_scenario": args.runs,
+        "sizes": list(sizes),
+        "search_strategy": args.strategy,
+        "strategy_deadline_seconds": args.strategy_deadline,
+    }
 
 
 def _history_row(payload: dict) -> dict:
@@ -137,7 +108,7 @@ def _history_row(payload: dict) -> dict:
     — without the full payload's nested detail.
     """
     meta = payload["meta"]
-    history_labels = ("naive", "self_aware", "self_aware_parallel")
+    history_labels = ("naive", "self_aware")
     timings = {
         scenario: {
             label: entry[label]["mean_search_seconds"]
@@ -155,14 +126,13 @@ def _history_row(payload: dict) -> dict:
         "commit": meta["commit"],
         "python": meta["python"],
         "machine": meta["machine"],
+        "nproc": meta["nproc"],
         "runs_per_scenario": meta["runs_per_scenario"],
         "sizes": meta["sizes"],
-        "parallel_workers": meta["parallel_workers"],
         "search_strategy": meta.get("search_strategy"),
         "strategy_deadline_seconds": meta.get("strategy_deadline_seconds"),
         "mean_search_seconds": timings,
         "speedup_vs_baseline": payload["speedup_vs_baseline"],
-        "parallel_speedup": payload.get("parallel_speedup"),
     }
 
 
@@ -195,14 +165,6 @@ def main(argv: list[str] | None = None) -> int:
         "--skip-full-eval",
         action="store_true",
         help="skip the search variants with the incremental engine off",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="add a self_aware_parallel column measured with this many "
-        "parallel evaluation workers (bit-identical outcomes; the "
-        "column times the worker-pool evaluation stage)",
     )
     parser.add_argument(
         "--strategy",
@@ -247,8 +209,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be >= 1")
-    if args.workers is not None and args.workers < 1:
-        parser.error("--workers must be >= 1")
     if args.metrics_size is not None and args.metrics_size not in args.sizes:
         parser.error("--metrics-size must be one of --sizes")
     if args.strategy_deadline is not None and args.strategy is None:
@@ -272,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"measuring current tree ({REPO_ROOT / 'src'}) ...", flush=True)
     current = _measure(
         REPO_ROOT / "src", sizes, args.runs, args.skip_full_eval,
-        workers=args.workers, metrics_size=args.metrics_size,
+        metrics_size=args.metrics_size,
         strategy=args.strategy, strategy_deadline=args.strategy_deadline,
     )
 
@@ -308,16 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     import search_harness
 
     payload = {
-        "meta": {
-            "commit": commit,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "runs_per_scenario": args.runs,
-            "sizes": list(sizes),
-            "parallel_workers": args.workers,
-            "search_strategy": args.strategy,
-            "strategy_deadline_seconds": args.strategy_deadline,
-        },
+        "meta": _meta(args, sizes, commit),
         "baseline": baseline,
         "current": current,
         # Instrumented-pass telemetry (hit ratios, prune rate, delta
@@ -328,14 +279,6 @@ def main(argv: list[str] | None = None) -> int:
             current["search"], baseline["search"]
         ),
     }
-    if args.workers is not None:
-        payload["parallel_speedup"] = search_harness.summarize_parallel(
-            current["search"]
-        )
-        # Only a canonical recording refreshes the curated results
-        # block; probe runs writing elsewhere must not clobber it.
-        if args.output.resolve() == REPO_ROOT / "BENCH_search.json":
-            _write_parallel_block(payload, args.workers)
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}")
     if args.append_history is not None:
@@ -348,10 +291,6 @@ def main(argv: list[str] | None = None) -> int:
             for label, ratio in entry.items()
         }
         print(f"  {scenario}: {printable}")
-    if args.workers is not None:
-        print(f"parallel evaluation speedup (--workers {args.workers}):")
-        for scenario, ratio in payload["parallel_speedup"].items():
-            print(f"  {scenario}: {f'{ratio:.2f}x' if ratio else 'n/a'}")
     if args.strategy is not None:
         column = (
             args.strategy

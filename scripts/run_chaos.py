@@ -1,22 +1,23 @@
 #!/usr/bin/env python
 """Seeded chaos soak over the hardened search stack.
 
-Sweeps fault schedules against the (strategy x executor) matrix on the
-2-app testbed, with the post-decision invariant checker
-refereeing every committed decision:
+Sweeps fault schedules against both search backends on the 2-app
+testbed, with the post-decision invariant checker refereeing every
+committed decision:
 
-- three fault schedules — ``infra`` (action failures/stalls, a host
-  crash, monitoring drop/stale), ``workers`` (pool-worker SIGKILLs and
-  shared-memory corruption), ``persistence`` (checkpoint-write rot,
-  injected solver faults, polish stalls against the watchdog);
-- chaos cells run every schedule x {astar, polish} x {serial, process},
-  each with a checkpoint lineage that is loaded and restored afterwards
+- two fault schedules — ``infra`` (action failures/stalls, a host
+  crash, monitoring drop/stale) and ``persistence`` (checkpoint-write
+  rot, injected solver faults, polish stalls against the watchdog);
+- chaos cells run every schedule x {astar, polish}, each with a
+  checkpoint lineage that is loaded and restored afterwards
   (exercising quarantine + ring rollback when the newest snapshot
   rotted);
-- control cells run faults-off across the same backend matrix and must
-  produce **bit-identical** run traces (utility, power, action records,
-  final configuration) per strategy — the hardening layers must cost
-  nothing when nothing fails.
+- control cells run faults-off, per strategy, twice: ``plain`` (no
+  fault config, no checkpoint, no referee) and ``hardened`` (an inert
+  :class:`FaultConfig`, a checkpoint store and the referee attached).
+  The two must produce **bit-identical** run traces (utility, power,
+  action records, final configuration) — the hardening layers must
+  cost nothing when nothing fails.
 
 The soak fails (non-zero exit) on any invariant violation, any
 unhandled exception, any faults-off identity break, or a corrupt
@@ -28,7 +29,7 @@ JSONL file for ``scripts/telemetry_report.py`` / CI artifacts.
 Usage::
 
     python scripts/run_chaos.py                 # full soak
-    python scripts/run_chaos.py --smoke         # reduced CI matrix
+    python scripts/run_chaos.py --smoke         # shorter CI horizon
     python scripts/run_chaos.py --seed 7 --trace /tmp/chaos.jsonl
 """
 
@@ -38,7 +39,7 @@ import argparse
 import sys
 import tempfile
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -74,13 +75,6 @@ def fault_schedules(seed: int) -> dict:
             sample_stale_probability=0.05,
             host_crashes=(HostCrash(time=1080.0, host_id="host-3"),),
         ),
-        # The controller's own execution substrate misbehaves.
-        "workers": FaultConfig(
-            seed=seed + 2,
-            worker_kill_probability=0.25,
-            shm_corruption_probability=0.25,
-            shm_corruption_mode="flip",
-        ),
         # Persistence and the polish backend misbehave.
         "persistence": FaultConfig(
             seed=seed + 3,
@@ -98,11 +92,10 @@ class CellResult:
 
     schedule: str  # "none" for control cells
     strategy: str
-    executor: str  # "serial" | "process"
+    layers: str  # "plain" | "hardened"
     decisions: int = 0
     actions: int = 0
     faults: int = 0
-    respawns: int = 0
     strategy_failures: int = 0
     watchdog_aborts: int = 0
     violations: int = 0
@@ -113,7 +106,7 @@ class CellResult:
 
     @property
     def label(self) -> str:
-        return f"{self.schedule}/{self.strategy}/{self.executor}"
+        return f"{self.schedule}/{self.strategy}/{self.layers}"
 
 
 def _controller_stats(controller):
@@ -125,7 +118,6 @@ def _controller_stats(controller):
     )
     totals = {
         "decisions": 0,
-        "worker_respawns": 0,
         "strategy_failures": 0,
         "watchdog_aborts": 0,
     }
@@ -181,20 +173,18 @@ def run_cell(
     checkpoint_dir: Optional[Path],
     search_settings: Optional[SearchSettings],
 ) -> CellResult:
-    if result.executor == "process":
-        # ``parallel_executor="auto"`` resolves to serial on
-        # single-core machines, which would silently skip the pool
-        # surfaces these cells exist to exercise — pin the kind.
-        search_settings = replace(
-            search_settings or SearchSettings(),
-            parallel_executor="process",
-        )
+    """Run one cell.  A ``hardened`` cell attaches ``faults`` (an inert
+    :class:`FaultConfig` when ``None``), a checkpoint lineage under
+    ``checkpoint_dir`` and the invariant referee; a ``plain`` cell
+    attaches none of them."""
     controller, initial = build_mistral(
         testbed, search_settings=search_settings
     )
-    workers = 2 if result.executor == "process" else None
+    hardened = result.layers == "hardened"
+    if hardened and faults is None:
+        faults = FaultConfig()
     checkpoint = None
-    if checkpoint_dir is not None:
+    if hardened and checkpoint_dir is not None:
         safe = result.label.replace("/", "_")
         checkpoint = checkpoint_dir / f"{safe}.json"
     try:
@@ -204,10 +194,9 @@ def run_cell(
             "mistral",
             horizon=horizon,
             faults=faults,
-            parallel=workers,
             checkpoint=checkpoint,
             search_strategy=result.strategy,
-            invariants=True,
+            invariants=hardened,
         )
     except Exception as error:  # noqa: BLE001 - the soak's whole point
         result.error = f"{type(error).__name__}: {error}"
@@ -215,7 +204,6 @@ def run_cell(
         return result
     stats = _controller_stats(controller)
     result.decisions = stats["decisions"]
-    result.respawns = stats["worker_respawns"]
     result.strategy_failures = stats["strategy_failures"]
     result.watchdog_aborts = stats["watchdog_aborts"]
     result.actions = metrics.action_count()
@@ -237,33 +225,30 @@ def run_cell(
     return result
 
 
-def build_matrix(smoke: bool) -> tuple[list, list]:
-    """(control cells, chaos cell specs) for the requested depth.
+def build_matrix() -> tuple[list, list]:
+    """(control cells, chaos cell specs): 8 cells.
 
-    Control cells run faults-off; within each strategy both executors
-    must produce a bit-identical trace.  The smoke matrix keeps both
-    executors per strategy for identity plus every schedule on the
-    widest backend (process).
+    Control cells run faults-off; within each strategy the ``plain``
+    and ``hardened`` runs must produce a bit-identical trace.  Every
+    chaos cell runs hardened.  The smoke soak runs the same matrix
+    over a shorter horizon.
     """
     strategies = ["astar", "polish"]
-    executors = ["serial", "process"]
-    chaos_executors = ["process"] if smoke else executors
     controls = [
-        CellResult("none", strategy, executor)
+        CellResult("none", strategy, layers)
         for strategy in strategies
-        for executor in executors
+        for layers in ("plain", "hardened")
     ]
     chaos = [
-        (schedule, CellResult(schedule, strategy, executor))
-        for schedule in ("infra", "workers", "persistence")
+        (schedule, CellResult(schedule, strategy, "hardened"))
+        for schedule in ("infra", "persistence")
         for strategy in strategies
-        for executor in chaos_executors
     ]
     return controls, chaos
 
 
 def identity_check(controls: list) -> tuple[bool, list]:
-    """Per strategy: every faults-off backend matches the serial
+    """Per strategy: the hardened faults-off run matches the plain
     reference signature."""
     ok = True
     notes = []
@@ -272,7 +257,7 @@ def identity_check(controls: list) -> tuple[bool, list]:
         by_strategy.setdefault(cell.strategy, []).append(cell)
     for strategy, cells in by_strategy.items():
         reference = next(
-            (cell for cell in cells if cell.executor == "serial"),
+            (cell for cell in cells if cell.layers == "plain"),
             cells[0],
         )
         for cell in cells:
@@ -294,21 +279,21 @@ def scorecard(
     horizon: float,
     smoke: bool,
 ) -> str:
-    depth = "smoke matrix" if smoke else "full soak"
+    depth = "smoke" if smoke else "full soak"
     lines = [
         "Chaos harness resilience scorecard — seeded fault schedules vs "
         "the hardened search stack "
         f"({depth}, seed {seed}, horizon {horizon:.0f}s)",
         f"{'cell':<36} {'decisions':>9} {'actions':>7} {'faults':>6} "
-        f"{'respawns':>8} {'fallbacks':>9} {'aborts':>6} {'viol':>4} "
+        f"{'fallbacks':>9} {'aborts':>6} {'viol':>4} "
         f"{'checkpoint':<15} {'status':<8}",
-        "-" * 126,
+        "-" * 117,
     ]
     for cell in results:
         status = "ERROR" if cell.error else "ok"
         lines.append(
             f"{cell.label:<36} {cell.decisions:>9} {cell.actions:>7} "
-            f"{cell.faults:>6} {cell.respawns:>8} "
+            f"{cell.faults:>6} "
             f"{cell.strategy_failures:>9} {cell.watchdog_aborts:>6} "
             f"{cell.violations:>4} {cell.checkpoint:<15} {status:<8}"
         )
@@ -319,12 +304,13 @@ def scorecard(
     lines += [
         "",
         "Control cells (schedule 'none') run faults-off and must be "
-        "bit-identical per strategy across every backend; chaos cells "
-        "must absorb every injected fault with zero invariant "
-        "violations.  'checkpoint' reports the post-run restore of the "
-        "cell's snapshot lineage: ok, rolled_back(Nq) after quarantine, "
-        "or lost(Nq) when every retained generation rotted (the store's "
-        "correct refusal).",
+        "bit-identical per strategy with the hardening layers (inert "
+        "fault config, checkpoint store, referee) off ('plain') and on "
+        "('hardened'); chaos cells must absorb every injected fault "
+        "with zero invariant violations.  'checkpoint' reports the "
+        "post-run restore of the cell's snapshot lineage: ok, "
+        "rolled_back(Nq) after quarantine, or lost(Nq) when every "
+        "retained generation rotted (the store's correct refusal).",
         "checks: "
         + ", ".join(f"{name}={value}" for name, value in checks.items()),
     ]
@@ -336,7 +322,7 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="reduced matrix + horizon for the CI smoke leg",
+        help="shorter horizon for the CI smoke leg",
     )
     parser.add_argument(
         "--seed", type=int, default=0, help="base fault-schedule seed"
@@ -366,15 +352,11 @@ def main(argv: Optional[list] = None) -> int:
 
     testbed = make_testbed(app_count=2, seed=0)
     schedules = fault_schedules(args.seed)
-    controls, chaos = build_matrix(args.smoke)
-    # Chaos cells get a watchdog deadline (so injected stalls have a
-    # tripwire to hit) and zero respawn backoff (the soak cares about
-    # the paths, not the waiting).  Control cells run the stock
-    # settings: their traces define the bit-identity reference.
-    chaos_settings = SearchSettings(
-        deadline_seconds=2.0,
-        executor_respawn_backoff_seconds=0.0,
-    )
+    controls, chaos = build_matrix()
+    # Chaos cells get a watchdog deadline, so injected stalls have a
+    # tripwire to hit.  Control cells run the stock settings: their
+    # traces define the bit-identity reference.
+    chaos_settings = SearchSettings(deadline_seconds=2.0)
 
     results: list = []
     telemetry.enable(jsonl_path=str(args.trace))
@@ -384,7 +366,9 @@ def main(argv: Optional[list] = None) -> int:
             for cell in controls:
                 print(f"control  {cell.label} ...", flush=True)
                 results.append(
-                    run_cell(testbed, cell, None, horizon, None, None)
+                    run_cell(
+                        testbed, cell, None, horizon, checkpoint_dir, None
+                    )
                 )
             for schedule, cell in chaos:
                 print(f"chaos    {cell.label} ...", flush=True)

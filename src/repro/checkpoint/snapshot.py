@@ -117,8 +117,6 @@ def _capture_stats(stats) -> dict:
         "noop_decisions": stats.noop_decisions,
         "replans": stats.replans,
         "watchdog_aborts": stats.watchdog_aborts,
-        "worker_respawns": stats.worker_respawns,
-        "executor_failures": stats.executor_failures,
         "strategy_failures": stats.strategy_failures,
     }
 
@@ -274,6 +272,10 @@ def _apply_estimator(estimator, state: dict) -> None:
 def _apply_controller(controller, state: dict) -> None:
     stats = state["stats"]
     for name, value in stats.items():
+        if not hasattr(controller.stats, name):
+            # A counter this version no longer keeps (older snapshots
+            # carry the retired worker-pool tallies): nothing to restore.
+            continue
         if isinstance(value, list):
             value = list(value)
         setattr(controller.stats, name, value)

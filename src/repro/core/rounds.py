@@ -30,8 +30,8 @@ cost-to-go) term, the constraint verdict, the dedup key:
 
 Bit-identity with the full (``incremental=False``) path is the
 contract throughout: identical float values (same expressions over the
-same operands, sums reduced by
-:func:`~repro.parallel.batch.column_sums` in the serial order),
+same operands, sums reduced by :func:`column_sums` in the serial
+order),
 identical verdicts, identical ordering.
 """
 
@@ -56,7 +56,6 @@ from repro.core.config import (
     Placement,
     VmCatalog,
 )
-from repro.parallel.batch import column_sums
 from repro.telemetry import phases as _phases
 
 #: Native-order scalar packers matching the codec's int16/float64 cell
@@ -64,6 +63,31 @@ from repro.telemetry import phases as _phases
 #: ``tobytes`` on every supported platform).
 _PACK_INT16 = struct.Struct("=h").pack
 _PACK_FLOAT64 = struct.Struct("=d").pack
+
+
+def column_sums(matrix: np.ndarray) -> np.ndarray:
+    """Per-column sums accumulated row by row.
+
+    For a ``[terms, children]`` matrix this performs, in every column,
+    the identical sequence of scalar float additions the serial path's
+    ``sum(term_list)`` performs — same operands, same order, starting
+    from zero — so the results are bit-identical per child.  (``np.sum``
+    would use pairwise summation and round differently.)
+
+    When the reduction axis is strided (a C-contiguous matrix with two
+    or more columns), ``np.add.reduce`` over axis 0 accumulates the
+    rows in the same top-to-bottom order — numpy's pairwise summation
+    only reorders reductions over contiguous memory — so the single
+    ufunc call replaces the Python row loop.  Single-column and
+    non-contiguous inputs keep the explicit loop; the bit-identity
+    suite pins the equivalence.
+    """
+    if matrix.shape[1] > 1 and matrix.flags.c_contiguous:
+        return np.add.reduce(matrix, axis=0, initial=0.0)
+    total = np.zeros(matrix.shape[1], dtype=np.float64)
+    for row in matrix:
+        total = total + row
+    return total
 
 
 def _togo_vm_term(

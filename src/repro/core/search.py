@@ -26,7 +26,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
@@ -65,14 +64,6 @@ from repro.core.estimator import SteadyEstimate, UtilityEstimator
 from repro.core.perf_pwr import PerfPwrOptimizer, PerfPwrResult
 from repro.core.planner import plan_transition
 from repro.costmodel.manager import CostManager
-from repro.parallel.batch import ScoreContext
-from repro.parallel.executors import (
-    EXECUTOR_KINDS,
-    SerialExecutor,
-    make_executor,
-    resolve_executor_kind,
-)
-from repro.parallel.runtime import default_workers
 from repro.telemetry import phases as _phases
 from repro.telemetry import runtime as _telemetry
 from repro.telemetry.provenance import ProvenanceCollector, plan_breakdown
@@ -171,31 +162,19 @@ class SearchSettings:
     #: (``False``), which re-derives every quantity from scratch per
     #: child and exists as the equivalence/benchmark reference.
     incremental: bool = True
-    #: Worker count for the parallel evaluation stage (DESIGN.md §11).
-    #: ``None`` consults the ``MISTRAL_PARALLEL_WORKERS`` environment
-    #: variable, and leaves the stage off when that is unset too.  Any
-    #: value >= 1 dispatches each array round's cost predictions to an
-    #: executor of that many workers; outcomes are bit-identical to the
-    #: serial path in every case.  Requires ``incremental`` (the full
-    #: path never dispatches).
-    parallel_workers: Optional[int] = None
-    #: Executor backing the worker pool: ``"auto"`` (forked processes
-    #: on multi-core hosts, inline otherwise), ``"serial"``,
-    #: ``"thread"``, or ``"process"``.
-    parallel_executor: str = "auto"
     #: Maximum configurations per batched LQN solve when pre-warming
     #: candidate steady estimates (``LqnSolver.solve_batch``).
     batch_size: int = 64
     #: Watchdog deadline on *measured* search wall time, in seconds.
     #: ``None`` (the default) leaves the watchdog off and the search
     #: path untouched.  When set, the expansion loop checks the clock
-    #: cooperatively once per expansion and executor rounds run under a
-    #: hard timer for the remaining budget; on expiry the search aborts
-    #: to its best incumbent (or the null plan) and flags the outcome
-    #: ``deadline_aborted``.  Unlike the virtual Eq. 3 accounting, this
-    #: bound is wall-clock by design — it exists to stop a *real*
-    #: runaway search — so deadline-aborted outcomes are inherently
-    #: platform-dependent and the watchdog is opt-in.
+    #: cooperatively once per expansion and before each round's cost
+    #: predictions; on expiry the search aborts to its best incumbent
+    #: (or the null plan) and flags the outcome ``deadline_aborted``.
+    #: Unlike the virtual Eq. 3 accounting, this bound is wall-clock by
+    #: design — it exists to stop a *real* runaway search — so
+    #: deadline-aborted outcomes are inherently platform-dependent and
+    #: the watchdog is opt-in.
     deadline_seconds: Optional[float] = None
     #: Search backend (DESIGN.md §14): one of :data:`STRATEGY_KINDS`.
     #: ``None`` consults the ``MISTRAL_SEARCH_STRATEGY`` environment
@@ -204,13 +183,6 @@ class SearchSettings:
     #: feasible incumbent at all times and returns it on any abort
     #: (deadline watchdog included).
     strategy: Optional[str] = None
-    #: Supervised-pool respawns the search may attempt per run when a
-    #: parallel executor fails (worker killed, pool died, stale fork)
-    #: before pinning itself to the serial path permanently.
-    executor_respawn_limit: int = 2
-    #: Base of the exponential backoff slept before respawn attempt N
-    #: (``base * 2**(N-1)`` seconds).  0 disables the sleep (tests).
-    executor_respawn_backoff_seconds: float = 0.05
 
     def __post_init__(self) -> None:
         if not 0.0 < self.prune_fraction <= 1.0:
@@ -219,12 +191,6 @@ class SearchSettings:
             raise ValueError("per_vertex_seconds must be positive")
         if self.max_expansions < 1:
             raise ValueError("max_expansions must be >= 1")
-        if self.parallel_workers is not None and self.parallel_workers < 1:
-            raise ValueError("parallel_workers must be >= 1 (or None)")
-        if self.parallel_executor not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"parallel_executor must be one of {EXECUTOR_KINDS}"
-            )
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
@@ -232,12 +198,6 @@ class SearchSettings:
         if self.strategy is not None and self.strategy not in STRATEGY_KINDS:
             raise ValueError(
                 f"strategy must be one of {STRATEGY_KINDS} (or None)"
-            )
-        if self.executor_respawn_limit < 0:
-            raise ValueError("executor_respawn_limit must be >= 0")
-        if self.executor_respawn_backoff_seconds < 0:
-            raise ValueError(
-                "executor_respawn_backoff_seconds must be >= 0"
             )
 
 
@@ -254,13 +214,6 @@ class SearchOutcome:
     wall_seconds: float
     pruning_activated: bool
     optimal: bool
-    #: Wall/CPU seconds spent inside executor dispatch (0.0 when the
-    #: parallel stage is off).  Counted *inside* ``wall_seconds`` —
-    #: pool overhead is part of the cost of deciding, never hidden —
-    #: and excluded from the bit-identity contract along with
-    #: ``wall_seconds`` (the only measured, platform-dependent fields).
-    pool_wall_seconds: float = 0.0
-    pool_cpu_seconds: float = 0.0
     #: The watchdog expired mid-search and the outcome is the best
     #: incumbent found before the deadline (still a valid, executable
     #: plan — possibly null).  Always ``False`` when
@@ -679,30 +632,13 @@ class AdaptationSearch:
         # searches, and workload vectors.
         self._action_facts: dict = {}
         self._predict_values: dict = {}
-        # Parallel evaluation stage (lazily built, reused across
-        # searches; see DESIGN.md §11).
-        self._executor = None
-        self._executor_key: Optional[tuple] = None
-        self._parallel_failed = False
-        #: Pool respawns already spent (bounded by
-        #: ``settings.executor_respawn_limit`` before the permanent
-        #: pin-to-serial demotion).
-        self._respawn_attempts = 0
-        #: Optional callback invoked (with a reason string) when a pool
-        #: executor dies and the search falls back to inline scoring —
+        #: Optional callback invoked (with a reason string) when the
+        #: polish backend fails and the search falls back to exact A* —
         #: the controller wires this into its resilience ladder.
         self.on_executor_failure: Optional[Callable[[str], None]] = None
         #: Chaos-mode fault injector (attached by the testbed); handed
-        #: to process executors (worker kills, shm corruption) and the
-        #: polish backend (solver exceptions, strategy stalls).
+        #: to the polish backend (solver exceptions, strategy stalls).
         self.fault_injector = None
-
-    # -- executor lifecycle ---------------------------------------------------
-
-    def _score_context(self) -> ScoreContext:
-        return ScoreContext(
-            self.catalog, self.limits, self.cost_manager, tuple(self.host_ids)
-        )
 
     def _ensure_array_statics(
         self, roots: Sequence[Configuration] = ()
@@ -734,117 +670,6 @@ class AdaptationSearch:
             self._round_block_cache.clear()
             self._round_plan_cache.clear()
         return statics
-
-    def _executor_workers(self, settings: SearchSettings) -> int:
-        """Resolved worker count (settings, then environment, then 1)."""
-        workers = (
-            settings.parallel_workers
-            if settings.parallel_workers is not None
-            else default_workers()
-        )
-        return workers if workers is not None else 1
-
-    def _ensure_executor(self, settings: SearchSettings, workers: int):
-        """The executor for this (kind, workers) request, cached across
-        searches; once a pool has failed, always the inline fallback."""
-        if self._parallel_failed:
-            if self._executor is None:
-                self._executor = SerialExecutor(self._score_context())
-                self._executor_key = ("serial", 1)
-            return self._executor
-        kind = resolve_executor_kind(settings.parallel_executor, workers)
-        key = (kind, 1 if kind == "serial" else workers)
-        if self._executor is None or self._executor_key != key:
-            self.close_executor()
-            self._executor = make_executor(
-                settings.parallel_executor, workers, self._score_context()
-            )
-            self._executor_key = key
-        if self._executor.kind == "process":
-            self._executor.fault_injector = self.fault_injector
-        return self._executor
-
-    def _respawn_executor(self, settings: SearchSettings, error: Exception):
-        """Supervised recovery from a pool failure: close the broken
-        executor and rebuild the same backing after an exponential
-        backoff, up to ``executor_respawn_limit`` attempts — only then
-        fall through to the permanent :meth:`_demote_executor` pin.
-        The attempt counter is per search instance and never resets: a
-        pool that keeps dying earns the serial path."""
-        if self._respawn_attempts >= settings.executor_respawn_limit:
-            return self._demote_executor(error)
-        self._respawn_attempts += 1
-        attempt = self._respawn_attempts
-        backoff = settings.executor_respawn_backoff_seconds * (
-            2.0 ** (attempt - 1)
-        )
-        broken = self._executor
-        self._executor = None
-        self._executor_key = None
-        if broken is not None:
-            try:
-                broken.close()
-            except Exception:
-                pass  # already-broken pools may refuse to shut down
-        if backoff > 0.0:
-            time.sleep(backoff)
-        if _telemetry.enabled:
-            registry = _telemetry.registry
-            registry.counter("parallel.worker_respawns").inc()
-            _telemetry.tracer.event(
-                "fault.worker.respawn",
-                attempt=attempt,
-                limit=settings.executor_respawn_limit,
-                backoff_seconds=backoff,
-                error=type(error).__name__,
-            )
-        if self.on_executor_failure is not None:
-            try:
-                self.on_executor_failure("worker_respawn")
-            except Exception:
-                pass  # resilience hooks must never kill the search
-        workers = self._executor_workers(settings)
-        return self._ensure_executor(settings, workers)
-
-    def _demote_executor(self, error: Exception):
-        """Permanent graceful fallback after a pool failure: close the
-        broken executor, pin inline scoring, notify the resilience
-        hook.  The search continues — the array rounds are correct with
-        any executor, so a dead pool costs throughput, never a plan."""
-        broken = self._executor
-        self._parallel_failed = True
-        self._executor = SerialExecutor(self._score_context())
-        self._executor_key = ("serial", 1)
-        if _telemetry.enabled:
-            registry = _telemetry.registry
-            registry.counter("parallel.executor_failures").inc()
-            registry.counter("parallel.serial_fallbacks").inc()
-            _telemetry.tracer.event(
-                "parallel.executor_failure",
-                error=type(error).__name__,
-                executor=getattr(broken, "kind", "unknown"),
-            )
-        if self.on_executor_failure is not None:
-            try:
-                self.on_executor_failure("executor_failure")
-            except Exception:
-                pass  # resilience hooks must never kill the search
-        if broken is not None:
-            try:
-                broken.close()
-            except Exception:
-                pass  # already-broken pools may refuse to shut down
-        return self._executor
-
-    def close_executor(self) -> None:
-        """Release pool resources (idempotent; pools rebuild on demand)."""
-        if self._executor is not None:
-            try:
-                self._executor.close()
-            except Exception:
-                pass
-            self._executor = None
-            self._executor_key = None
 
     # -- public API -----------------------------------------------------------
 
@@ -957,15 +782,6 @@ class AdaptationSearch:
             self.settings if settings_override is None else settings_override
         )
         incremental = settings.incremental
-        workers = (
-            settings.parallel_workers
-            if settings.parallel_workers is not None
-            else default_workers()
-        )
-        # Incremental rounds run through the array kernels and the
-        # executor only predicts costs; the full (non-incremental)
-        # reference never dispatches, so a worker request is moot there.
-        parallel_on = workers is not None and incremental
         wkey = self.estimator.workload_key(workloads)
         ideal = self.perf_pwr.optimize(workloads)
         if self.scope_hosts is not None:
@@ -981,11 +797,6 @@ class AdaptationSearch:
         generated = 0
         pruned_away = 0
         candidate_pushes = 0
-        # Measured executor-dispatch cost (wall + CPU); part of
-        # ``wall_seconds``, surfaced separately so parallel overhead is
-        # visible instead of laundered into the speedup.
-        pool_wall = 0.0
-        pool_cpu = 0.0
         # Watchdog state: a deadline of None keeps every check off the
         # hot path (single ``is not None`` test per expansion).
         deadline = settings.deadline_seconds
@@ -1032,8 +843,6 @@ class AdaptationSearch:
                 wall_seconds=time.perf_counter() - wall_start,
                 pruning_activated=pruning_activated,
                 optimal=optimal,
-                pool_wall_seconds=pool_wall,
-                pool_cpu_seconds=pool_cpu,
                 deadline_aborted=deadline_aborted,
             )
             if _telemetry.enabled:
@@ -1064,8 +873,6 @@ class AdaptationSearch:
                     dur=outcome.wall_seconds,
                     self_aware=settings.self_aware,
                     incremental=incremental,
-                    parallel=parallel_on,
-                    pool_seconds=outcome.pool_wall_seconds,
                     expansions=outcome.expansions,
                     children_generated=generated,
                     children_pruned=pruned_away,
@@ -1083,7 +890,6 @@ class AdaptationSearch:
                         phases=profile.snapshot(),
                         wall_seconds=outcome.wall_seconds,
                         expansions=outcome.expansions,
-                        parallel=parallel_on,
                         array_core=incremental,
                     )
                 if collector is not None:
@@ -1138,7 +944,6 @@ class AdaptationSearch:
                             "deadline_aborted": deadline_aborted,
                             "self_aware": settings.self_aware,
                             "incremental": incremental,
-                            "parallel": parallel_on,
                             "array_core": incremental,
                             "wall_seconds": outcome.wall_seconds,
                             "decision_seconds": outcome.decision_seconds,
@@ -1418,12 +1223,6 @@ class AdaptationSearch:
                 finalize(terminal)
                 push(terminal)
 
-        # -- parallel evaluation stage (DESIGN.md §11) ---------------------
-        # Array rounds predict their selected actions' costs through a
-        # pluggable executor; results merge back in action order, so the
-        # children (priorities, tie-breakers, heap behaviour — the whole
-        # outcome) are bit-identical whatever the executor.
-        executor = None
         # Point utility-rate lookups memoized by input value; scoped to
         # this search because they fix (workloads, utility model).
         util_memo: dict = {}
@@ -1436,99 +1235,15 @@ class AdaptationSearch:
             app: (i, rate) for i, (app, rate) in enumerate(workload_items)
         }
         transient_sparse: dict = {}
-        if incremental:
-            # Without a worker request the executor resolves to the
-            # inline serial one.
-            executor = self._ensure_executor(
-                settings, workers if workers is not None else 1
-            )
-            if _telemetry.enabled and parallel_on:
-                registry = _telemetry.registry
-                registry.counter("parallel.searches").inc()
-                registry.gauge("parallel.workers").set(executor.workers)
-
-        def dispatch(configuration: Configuration, actions):
-            """One executor prediction round, with measured pool cost,
-            the watchdog's hard timer, and supervised recovery on pool
-            death.
-
-            With a deadline set, the round runs under a timeout for the
-            remaining budget; on expiry (or with no budget left at all)
-            the round yields no results and flags ``deadline_hit`` —
-            the expansion loop aborts to the best incumbent right after
-            this round, so a stuck pool cannot hold the search hostage.
-            A timeout is a *deadline* event, never a pool-death event:
-            the executor is not demoted.
-
-            Any other executor failure (a worker SIGKILLed mid-round,
-            the pool dead, a stale fork, unrecoverable shm corruption)
-            retries the round through :meth:`_respawn_executor`: the
-            same backing is rebuilt under a bounded exponential backoff
-            until the respawn budget runs out, after which the
-            permanent serial demotion takes over.  The serial fallback
-            executing the round inline cannot fail this way, so the
-            loop always terminates.
-            """
-            nonlocal pool_wall, pool_cpu, executor, deadline_hit
-            wall_0 = time.perf_counter()
-            cpu_0 = time.process_time()
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - (wall_0 - wall_start)
-                if remaining <= 0.0:
-                    deadline_hit = True
-                    return []
-            try:
-                while True:
-                    try:
-                        return executor.predict(
-                            configuration, actions, workloads, wkey,
-                            timeout=remaining,
-                        )
-                    except (TimeoutError, multiprocessing.TimeoutError):
-                        deadline_hit = True
-                        return []
-                    except Exception as error:
-                        if executor.kind == "serial":
-                            raise  # inline failures are real bugs
-                        executor = self._respawn_executor(settings, error)
-            finally:
-                cpu_dt = time.process_time() - cpu_0
-                wall_dt = time.perf_counter() - wall_0
-                pool_cpu += cpu_dt
-                pool_wall += wall_dt
-                if profile is not None:
-                    # The dispatch round *is* the round's cost-scoring
-                    # work — reuse its measurements instead of reading
-                    # the clocks a second time.
-                    profile.add("score", wall_dt, cpu_dt)
-                if _telemetry.enabled:
-                    registry = _telemetry.registry
-                    registry.counter("parallel.rounds").inc()
-                    registry.counter("parallel.children_scored").inc(
-                        len(actions)
-                    )
-                    registry.histogram("parallel.batch_children").observe(
-                        len(actions)
-                    )
-                    registry.histogram("parallel.dispatch_seconds").observe(
-                        wall_dt
-                    )
-                    if wall_dt > 0.0:
-                        registry.gauge("parallel.pool_utilization").set(
-                            cpu_dt / (wall_dt * executor.workers)
-                        )
 
         # Search-level prediction memo for array rounds.  A prediction
-        # is a pure function of (workloads, action, affected context) —
-        # see ``parallel.batch.predict_key`` — so within one search
-        # (fixed workloads) it can be keyed by the action's identity
-        # plus, for placement actions, the affected hosts' app sets.
-        # Hits skip the executor round-trip entirely; only misses are
-        # dispatched (and still land in the executor's own memo), which
-        # keeps every value float-identical to the undispatched path.
-        # Values hold the action object, pinning its ``id`` for the
-        # memo's lifetime.
+        # is a pure function of (workloads, action, affected context):
+        # ``CostManager.predict`` reads the configuration only through
+        # the affected applications and the affected-host count.  So
+        # within one search (fixed workloads) it can be keyed by the
+        # action's identity plus, for placement actions, the affected
+        # hosts' app sets.  Values hold the action object, pinning its
+        # ``id`` for the memo's lifetime.
         predict_fast: dict = {}
         _NO_APPS: frozenset = frozenset()
 
@@ -1545,9 +1260,11 @@ class AdaptationSearch:
 
         def predict_round(configuration: Configuration, actions) -> list:
             """Predictions for one array round's selected (pre-validated)
-            actions, resolving memo hits locally and dispatching only
-            the misses.  Returns ``[]`` when the dispatch of the misses
-            aborts on the deadline, mirroring a fully aborted round."""
+            actions, resolving memo hits first and predicting only the
+            misses.  Returns ``[]`` when the watchdog deadline has
+            passed before the misses are predicted, mirroring a fully
+            aborted round."""
+            nonlocal deadline_hit
             host_apps = round_host_apps(configuration)
             apps_get = host_apps.get
             placement_of = configuration.placement_of
@@ -1558,7 +1275,6 @@ class AdaptationSearch:
             values_get = values.get
             catalog_get = self.catalog.get
             results: list = [None] * len(actions)
-            missing: list = []
             miss_slots: list = []
             for i, action in enumerate(actions):
                 kind = type(action)
@@ -1621,20 +1337,27 @@ class AdaptationSearch:
                     results[i] = value
                     predict_fast[key] = (action, value)
                     continue
-                missing.append(action)
                 miss_slots.append((i, key, vkey, action))
-            if missing:
-                predicted_list = dispatch(configuration, missing)
-                if len(predicted_list) != len(missing):
+            if miss_slots:
+                wall_0 = time.perf_counter()
+                if deadline is not None and wall_0 - wall_start >= deadline:
+                    deadline_hit = True
                     return []
+                cpu_0 = time.process_time()
+                predict = self.cost_manager.predict
                 if len(values) >= _ROUND_ACTION_CACHE_LIMIT:
                     values.clear()
-                for (i, key, vkey, action), predicted in zip(
-                    miss_slots, predicted_list
-                ):
+                for i, key, vkey, action in miss_slots:
+                    predicted = predict(action, configuration, workloads)
                     results[i] = predicted
                     predict_fast[key] = (action, predicted)
                     values[vkey] = predicted
+                if profile is not None:
+                    profile.add(
+                        "score",
+                        time.perf_counter() - wall_0,
+                        time.process_time() - cpu_0,
+                    )
             return results
 
         def vertex_state(vertex: _Vertex) -> _VertexState:
@@ -2201,10 +1924,10 @@ class AdaptationSearch:
             if deadline is not None and (
                 time.perf_counter() - wall_start >= deadline
             ):
-                # Cooperative watchdog check, once per expansion: the
-                # wall time can overshoot the deadline by at most one
-                # expansion round (whose executor rounds are themselves
-                # bounded by the hard timer in ``dispatch``).
+                # Cooperative watchdog check, once per expansion (and
+                # again before each round's cost predictions): the wall
+                # time can overshoot the deadline by at most one
+                # expansion round.
                 deadline_hit = True
                 result_vertex = best_terminal
                 break
@@ -2225,8 +1948,8 @@ class AdaptationSearch:
             if incremental:
                 # Array round (DESIGN.md §13): validity, ranking and
                 # the per-child reductions run as matrix kernels over
-                # the plan's pre-encoded columns; the executor round
-                # only predicts costs for the selected (pre-validated)
+                # the plan's pre-encoded columns; ``predict_round`` only
+                # predicts costs for the selected (pre-validated)
                 # actions.
                 state = vertex_state(vertex)
                 plan_cache = self._round_plan_cache
@@ -2365,7 +2088,7 @@ class AdaptationSearch:
             if expand_hist is not None:
                 expand_hist.observe(time.perf_counter() - expand_t0)
             if deadline_hit:
-                # An executor round tripped the hard timer mid-round;
+                # A round hit the deadline before its cost predictions;
                 # its partial children are discarded and the search
                 # commits to the best incumbent found in time.
                 result_vertex = best_terminal

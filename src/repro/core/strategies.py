@@ -781,8 +781,6 @@ class _WalkContext:
                 dur=outcome.wall_seconds,
                 self_aware=self.settings.self_aware,
                 incremental=True,
-                parallel=False,
-                pool_seconds=0.0,
                 expansions=outcome.expansions,
                 children_generated=self.evaluations,
                 children_pruned=0,
@@ -800,7 +798,6 @@ class _WalkContext:
                     phases=self.profile.snapshot(),
                     wall_seconds=outcome.wall_seconds,
                     expansions=outcome.expansions,
-                    parallel=False,
                     array_core=False,
                 )
             if self.collector is not None:
@@ -856,7 +853,6 @@ class _WalkContext:
                         "deadline_aborted": self.deadline_hit,
                         "self_aware": self.settings.self_aware,
                         "incremental": True,
-                        "parallel": False,
                         "array_core": False,
                         "wall_seconds": outcome.wall_seconds,
                         "decision_seconds": outcome.decision_seconds,

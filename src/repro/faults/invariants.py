@@ -1,7 +1,7 @@
 """Post-decision invariant checker (chaos mode).
 
 The chaos harness injects faults into the controller's own machinery —
-worker pools, the shared-memory channel, checkpoints, polish — and
+the LQN solver, checkpoints, polish — and
 the hardening layers are supposed to absorb them without ever letting a
 corrupted intermediate state leak into a committed decision.  This
 module is the referee: after every decision it re-derives, from first
@@ -25,10 +25,9 @@ Four invariant families (DESIGN.md §10):
   terms and the committed total;
 - **codec round-trip** — encoding the decided configuration through
   :class:`~repro.core.config.ConfigCodec` and decoding it back is the
-  identity, so the array core and the shared-memory channel would
-  transport this exact decision bit-identically (skipped when the
-  configuration leaves the codec universe, which is the documented
-  object-path fallback).
+  identity, so the array core would transport this exact decision
+  bit-identically (skipped when the configuration leaves the codec
+  universe, which is the documented object-path fallback).
 
 Violations are returned as data and, when telemetry is enabled, emitted
 as ``chaos.invariant_violation`` events with a

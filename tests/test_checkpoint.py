@@ -30,8 +30,7 @@ from repro.faults import ControllerCrash, FaultConfig
 HOSTS = ("host-0", "host-1", "host-2", "host-3")
 
 #: SearchOutcome fields under the bit-identity contract (everything but
-#: the measured ``wall_seconds`` / ``pool_*`` — same list as
-#: tests/test_parallel.py).
+#: the measured ``wall_seconds``).
 OUTCOME_FIELDS = (
     "actions",
     "final_configuration",
@@ -306,17 +305,34 @@ def test_restore_rejects_hierarchy_shape_mismatch(
     assert capture(controller) == pristine
 
 
+def _with_retired_pool_counters(snapshot: dict) -> dict:
+    """``snapshot`` as an earlier version wrote it: every controller's
+    stats still carry the worker-pool tallies that version kept."""
+    older = json.loads(json.dumps(snapshot))
+    for state in [older["level2"], *older["level1"]]:
+        state["stats"]["worker_respawns"] = 1
+        state["stats"]["executor_failures"] = 2
+    return older
+
+
 def test_capture_restore_round_trip_after_real_windows(
     small_testbed, driven_snapshot
 ):
-    controller, _ = _build(small_testbed)
-    restore(controller, driven_snapshot)
-    recaptured = capture(
-        controller,
-        configuration=snapshot_configuration(driven_snapshot),
-        t_sim=driven_snapshot["t_sim"],
-    )
-    assert recaptured == driven_snapshot
+    # The second input is the same state written by an earlier version;
+    # its retired counters restore to nothing.
+    for snapshot in (
+        driven_snapshot,
+        _with_retired_pool_counters(driven_snapshot),
+    ):
+        controller, _ = _build(small_testbed)
+        restore(controller, snapshot)
+        recaptured = capture(
+            controller,
+            configuration=snapshot_configuration(snapshot),
+            t_sim=snapshot["t_sim"],
+        )
+        assert recaptured == driven_snapshot
+        assert not hasattr(controller.level2.stats, "worker_respawns")
 
 
 @settings(
@@ -650,12 +666,12 @@ def test_checkpointing_does_not_perturb_the_run(small_testbed, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_interrupted_run_flushes_trace_closes_pool_and_leaves_snapshot(
+def test_interrupted_run_flushes_trace_and_leaves_snapshot(
     small_testbed, tmp_path
 ):
     from repro.telemetry import runtime as telemetry
 
-    controller, initial = _build(small_testbed, parallel_workers=2)
+    controller, initial = _build(small_testbed)
     path = tmp_path / "snap.json"
     trace_path = tmp_path / "trace.jsonl"
 
@@ -679,13 +695,12 @@ def test_interrupted_run_flushes_trace_closes_pool_and_leaves_snapshot(
                 horizon=7200.0,
                 checkpoint=path,
             )
-        # Teardown ran despite the interrupt: the L1 pool is released,
-        # the trace is flushed to disk, and the snapshot on disk loads.
-        assert controller._level1_pool is None
+        # Teardown ran despite the interrupt: the trace is flushed to
+        # disk, and the snapshot on disk loads.
         flushed = trace_path.read_text(encoding="utf-8")
         assert "checkpoint.save" in flushed
     finally:
         telemetry.disable()
     snapshot = CheckpointStore(path).load()
-    fresh, _ = _build(small_testbed, parallel_workers=2)
+    fresh, _ = _build(small_testbed)
     restore(fresh, snapshot)

@@ -1,7 +1,10 @@
 """Scenario-scaling tests: 3-app and 4-app testbeds build and run."""
 
+import threading
+
 import pytest
 
+from repro.core.hierarchy import ControllerHierarchy
 from repro.testbed.scenarios import build_mistral, make_testbed
 
 
@@ -39,3 +42,24 @@ def test_single_level_controller_variant():
     metrics = testbed.run(controller, initial, "flat", horizon=1200.0)
     assert controller.stats.invocations > 0
     assert len(metrics.power_watts) == 11
+
+
+class _StubController:
+    """Minimal on_sample recorder standing in for a MistralController."""
+
+    def __init__(self, name: str, decision=None) -> None:
+        self.name = name
+        self.decision = decision
+        self.threads: list[str] = []
+
+    def on_sample(self, now, workloads, configuration, busy=False):
+        self.threads.append(threading.current_thread().name)
+        return self.decision
+
+
+def test_hierarchy_sequential_without_workers():
+    level1 = [_StubController("L1-0"), _StubController("L1-1")]
+    hierarchy = ControllerHierarchy(level1, _StubController("L2"))
+    hierarchy.on_sample(0.0, {"RUBiS-1": 10.0}, object())
+    main = threading.current_thread().name
+    assert all(c.threads == [main] for c in level1)

@@ -5,8 +5,7 @@ The contract under test, shared by both backends behind
 
 - ``"astar"`` is the exact loop — selecting it through
   ``AdaptationSearch.search`` must be bit-identical to calling it
-  directly, under every executor backing, on both the incremental and
-  the full-evaluation path.
+  directly, on both the incremental and the full-evaluation path.
 - ``"polish"`` is deterministic, returns a feasible (replayable) plan
   or an explicit no-op, respects the deadline watchdog, and stamps
   ``SearchOutcome.strategy``.
@@ -38,8 +37,8 @@ from repro.testbed.scenarios import (
     make_testbed,
 )
 
-#: Everything a search outcome decides; ``wall_seconds`` and the
-#: ``pool_*`` tallies are measured time, excluded by the contract.
+#: Everything a search outcome decides; ``wall_seconds`` is measured
+#: time, excluded by the contract.
 OUTCOME_FIELDS = (
     "actions",
     "final_configuration",
@@ -104,10 +103,7 @@ def _high_workloads(testbed, run: int = 0) -> dict[str, float]:
 def _run(search, testbed, run: int = 0):
     start = initial_configuration(testbed)
     workloads = _high_workloads(testbed, run)
-    try:
-        return search.search(start, workloads, 300.0)
-    finally:
-        search.close_executor()
+    return search.search(start, workloads, 300.0)
 
 
 def _assert_outcomes_identical(reference, candidate) -> None:
@@ -175,17 +171,13 @@ def test_build_mistral_wires_strategy(small_testbed):
 
 def test_testbed_run_repoints_strategy(small_testbed):
     controller, start = build_mistral(small_testbed)
-    try:
-        small_testbed.run(
-            controller,
-            start,
-            "mistral",
-            horizon=900.0,
-            search_strategy="polish",
-        )
-    finally:
-        if hasattr(controller, "shutdown_parallel"):
-            controller.shutdown_parallel()
+    small_testbed.run(
+        controller,
+        start,
+        "mistral",
+        horizon=900.0,
+        search_strategy="polish",
+    )
     for level1 in controller.level1:
         assert level1.search.settings.strategy == "polish"
     assert controller.level2.search.settings.strategy == "polish"
@@ -200,27 +192,18 @@ def test_outcome_stamps_strategy(small_testbed):
 # -- astar bit-identity --------------------------------------------------------
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
 @pytest.mark.parametrize("incremental", [True, False])
-def test_astar_dispatch_bit_identical(executor, incremental, small_testbed):
+def test_astar_dispatch_bit_identical(incremental, small_testbed):
     """``strategy="astar"`` through ``search`` reproduces the direct
-    A* loop exactly — across executor backings, on both the array
-    rounds (incremental) and the full-evaluation reference path."""
-    workers = 1 if executor == "serial" else 2
-    kwargs = dict(
-        parallel_workers=workers,
-        parallel_executor=executor,
-        incremental=incremental,
-    )
+    A* loop exactly — on both the array rounds (incremental) and the
+    full-evaluation reference path."""
+    kwargs = dict(incremental=incremental)
     direct_search = _make_search(small_testbed, **kwargs)
     start = initial_configuration(small_testbed)
     workloads = _high_workloads(small_testbed)
-    try:
-        direct = direct_search._astar_search(
-            start, workloads, 300.0, None, None, None
-        )
-    finally:
-        direct_search.close_executor()
+    direct = direct_search._astar_search(
+        start, workloads, 300.0, None, None, None
+    )
     dispatched = _run(
         _make_search(small_testbed, strategy="astar", **kwargs),
         small_testbed,
@@ -250,12 +233,9 @@ def test_polish_matches_the_retired_walkers_on_apps2():
     testbed = make_testbed(app_count=2, seed=0)
     search = _make_search(testbed, strategy="polish")
     workloads = _study_workloads(testbed)
-    try:
-        outcome = search.search(
-            initial_configuration(testbed), workloads, CONTROL_WINDOW
-        )
-    finally:
-        search.close_executor()
+    outcome = search.search(
+        initial_configuration(testbed), workloads, CONTROL_WINDOW
+    )
     assert outcome.strategy == "polish"
     assert not outcome.deadline_aborted
     assert outcome.predicted_utility == pytest.approx(2.778113142, abs=1e-9)
@@ -297,10 +277,7 @@ def test_walker_beats_or_matches_null_plan(walker, small_testbed):
         * small_testbed.estimator.estimate(start, workloads).total_rate
     )
     search = _make_search(small_testbed, strategy="polish")
-    try:
-        outcome = search.search(start, workloads, 300.0)
-    finally:
-        search.close_executor()
+    outcome = search.search(start, workloads, 300.0)
     _assert_matches_retired(walker, outcome)
     assert outcome.predicted_utility >= null_value - 1e-9
 
@@ -319,10 +296,7 @@ def test_deadline_watchdog_bounds_overshoot(name, small_testbed):
     )
     start = initial_configuration(small_testbed)
     workloads = _high_workloads(small_testbed)
-    try:
-        outcome = search.search(start, workloads, 300.0)
-    finally:
-        search.close_executor()
+    outcome = search.search(start, workloads, 300.0)
     assert outcome.deadline_aborted
     assert outcome.strategy == strategy
     # Generous bound: one expansion/polish step, not a full search.
@@ -458,14 +432,11 @@ def test_watchdog_abort_steps_controller_ladder_down(small_testbed):
         monitor=WorkloadMonitor(band_width=8.0),
     )
     controller.enable_resilience(DegradationSettings(escalate_after=1))
-    try:
-        decision = controller.on_sample(
-            0.0,
-            _high_workloads(small_testbed),
-            initial_configuration(small_testbed),
-        )
-    finally:
-        search.close_executor()
+    decision = controller.on_sample(
+        0.0,
+        _high_workloads(small_testbed),
+        initial_configuration(small_testbed),
+    )
     assert decision is not None
     assert decision.outcome.deadline_aborted
     assert controller.stats.watchdog_aborts == 1
@@ -473,6 +444,28 @@ def test_watchdog_abort_steps_controller_ladder_down(small_testbed):
     pruned = controller._search_settings_for_level("pruned")
     assert pruned.strategy == "astar"
     assert pruned.self_aware
+
+
+def test_controller_wires_executor_failures_into_resilience(small_testbed):
+    """The controller timestamps search failures with the sample it
+    was processing and feeds them to its degradation ladder."""
+    from repro.core.controller import MistralController
+    from repro.workload.monitor import WorkloadMonitor
+
+    controller = MistralController(
+        name="test",
+        search=_make_search(small_testbed),
+        monitor=WorkloadMonitor(band_width=0.0),
+    )
+    assert (
+        controller.search.on_executor_failure
+        == controller._on_executor_failure
+    )
+    controller.enable_resilience()
+    controller._last_now = 360.0
+    controller.search.on_executor_failure("strategy_failure")
+    assert controller.stats.faults_observed == 1
+    assert controller.stats.strategy_failures == 1
 
 
 def test_walker_settings_validated():
