@@ -16,6 +16,15 @@ candidate with the best ratio of CPU utilization reduction to
 performance-utility loss; each successful packing yields a potential
 optimum whose overall utility rate (performance + power) is compared
 across host counts.
+
+Every gradient candidate differs from its parent plan in exactly one
+VM, so in exactly one tier of the LQN.  The gradient therefore holds
+the current plan's :class:`~repro.perfmodel.solver.SolveState` and
+delta-solves each candidate from it with ``LqnSolver.update_state``,
+re-solving only the tier its step touched; the solver guarantees the
+result is bit-identical to a full solve, so the ideal does not move.
+Plan qualities are memoized for the current workload vector only: the
+memo is cleared whenever the workload key changes.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from repro.core.config import (
 )
 from repro.core.estimator import SteadyEstimate, UtilityEstimator
 from repro.core.lru import LruDict
+from repro.perfmodel.solver import SolveState
 from repro.telemetry import runtime as _telemetry
 
 
@@ -117,14 +127,19 @@ class PerfPwrOptimizer:
         self.max_vm_cap = max_vm_cap or limits.max_total_cpu_cap
         self.min_cap_for_target = min_cap_for_target
         self.consider_minimal_candidate = consider_minimal_candidate
-        # Bounded LRU memos (previously unbounded dicts flushed with a
-        # wholesale clear() when they overflowed, discarding the whole
-        # working set mid-optimization).  Keys include the estimator's
-        # workload key, so a FeedbackUtilityEstimator version bump
-        # naturally invalidates stale entries.
+        # Bounded LRU memos.  The result and minimal memos are keyed on
+        # the estimator's workload key, so a FeedbackUtilityEstimator
+        # version bump invalidates stale entries.  The quality memo is
+        # keyed on a plan's caps and holds one workload vector only
+        # (``_quality_wkey``): it is cleared when the key changes, so
+        # entries of past windows never pile up.
         self._quality_cache: LruDict[
             tuple, tuple[float, float, dict[str, float]]
         ] = LruDict(100_000, name="perf_pwr.quality")
+        self._quality_wkey: Optional[tuple] = None
+        # One pseudo-host placement per (vm, cap): the gradient probes
+        # the same few cap levels of every VM over and over.
+        self._pseudo_placements: dict[tuple[str, float], Placement] = {}
         self._result_cache: LruDict[tuple, PerfPwrResult] = LruDict(
             5_000, name="perf_pwr.result"
         )
@@ -150,6 +165,7 @@ class PerfPwrOptimizer:
         start_evaluations = self.estimator.evaluations
         results: list[PerfPwrResult] = []
         plan = self._max_plan()
+        state: Optional[SolveState] = None
         min_hosts = self._min_hosts()
         # The target-meeting minimum is a second candidate per host
         # count: the gradient path shrinks monotonically across host
@@ -163,8 +179,8 @@ class PerfPwrOptimizer:
         for host_count in range(len(self.host_ids), min_hosts - 1, -1):
             hosts = self.host_ids[:host_count]
             candidates: list[Configuration] = []
-            packed, plan = self._search_for_hosts(
-                plan, hosts, workloads, wkey
+            packed, plan, state = self._search_for_hosts(
+                plan, hosts, workloads, wkey, state
             )
             if packed is not None:
                 candidates.append(packed)
@@ -230,12 +246,14 @@ class PerfPwrOptimizer:
         if memoized is not None:
             return memoized
         plan = self._max_plan()
+        state = self._solve_plan(plan, workloads)
         while True:
             best_candidate: Optional[CapacityPlan] = None
+            best_vm = ""
             best_total = plan.total_cap()
-            for candidate in self._candidates(plan):
+            for candidate, vm_id in self._candidates(plan):
                 _, _, response_times = self._plan_quality(
-                    candidate, workloads, wkey
+                    candidate, workloads, wkey, state, vm_id
                 )
                 if not self._meets_targets(response_times, workloads):
                     continue
@@ -243,10 +261,12 @@ class PerfPwrOptimizer:
                 if total < best_total - 1e-9:
                     best_total = total
                     best_candidate = candidate
+                    best_vm = vm_id
             if best_candidate is None:
                 self._minimal_cache.put(wkey, plan)
                 return plan
             plan = best_candidate
+            state = self._advance(state, plan, best_vm, workloads)
 
     # -- capacity plans -------------------------------------------------------
 
@@ -270,14 +290,6 @@ class PerfPwrOptimizer:
         by_count = math.ceil(min_vms / self.limits.max_vms_per_host)
         return max(1, by_cpu, by_count)
 
-    def _replica_counts(self, plan: CapacityPlan) -> dict[tuple[str, str], int]:
-        counts: dict[tuple[str, str], int] = {}
-        for vm_id in plan.caps:
-            descriptor = self.catalog.get(vm_id)
-            key = (descriptor.app_name, descriptor.tier_name)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
     # -- evaluation ------------------------------------------------------------
 
     def _pseudo_config(self, plan: CapacityPlan) -> Configuration:
@@ -287,17 +299,57 @@ class PerfPwrOptimizer:
         capacity plan can be estimated before any packing succeeds.
         """
         placements = {
-            vm_id: Placement(f"pseudo-{vm_id}", cap)
+            vm_id: self._pseudo_placement(vm_id, cap)
             for vm_id, cap in plan.caps.items()
         }
         hosts = frozenset(placement.host_id for placement in placements.values())
         return Configuration(placements, hosts)
 
+    def _pseudo_placement(self, vm_id: str, cap: float) -> Placement:
+        placement = self._pseudo_placements.get((vm_id, cap))
+        if placement is None:
+            placement = Placement(f"pseudo-{vm_id}", cap)
+            self._pseudo_placements[(vm_id, cap)] = placement
+        return placement
+
+    def _solve_plan(
+        self, plan: CapacityPlan, workloads: Mapping[str, float]
+    ) -> SolveState:
+        """Full solve of ``plan``'s pseudo configuration."""
+        return self.estimator.solver.solve_state(
+            self._pseudo_config(plan), workloads
+        )
+
+    def _advance(
+        self,
+        state: SolveState,
+        plan: CapacityPlan,
+        vm_id: str,
+        workloads: Mapping[str, float],
+    ) -> SolveState:
+        """``plan``'s solve state, delta-solved from its parent plan's
+        ``state``; the step from the parent changed only ``vm_id``, so
+        only that VM's tier is re-solved."""
+        cap = plan.caps.get(vm_id)
+        if cap is not None:
+            pseudo = state.configuration.replace(
+                vm_id, self._pseudo_placement(vm_id, cap)
+            )
+        else:
+            pseudo = state.configuration.remove(vm_id).power_off(
+                f"pseudo-{vm_id}"
+            )
+        return self.estimator.solver.update_state(
+            state, pseudo, workloads, (vm_id,)
+        )
+
     def _plan_quality(
         self,
         plan: CapacityPlan,
         workloads: Mapping[str, float],
-        wkey: Optional[tuple] = None,
+        wkey: Optional[tuple],
+        state: SolveState,
+        changed_vm: Optional[str] = None,
     ) -> tuple[float, float, dict[str, float]]:
         """(busy CPU, performance utility rate, response times) of a plan.
 
@@ -305,15 +357,29 @@ class PerfPwrOptimizer:
         packing), only the performance side of the gradient.  ``wkey``
         is the precomputed workload key (computed once per optimize
         pass rather than per probe).
+
+        On a memo miss, ``state`` supplies the solve: it is the plan's
+        own solve state, or, when ``changed_vm`` is given, the state of
+        the parent plan one step away, from which the plan is
+        delta-solved.
         """
         if wkey is None:
             wkey = self.estimator.workload_key(workloads)
-        key = (tuple(sorted(plan.caps.items())), wkey)
+        if wkey != self._quality_wkey:
+            self._quality_cache.clear()
+            self._quality_wkey = wkey
+        # Every plan descends from ``_max_plan`` by one-entry edits, so
+        # its caps keep catalog order and the items are a canonical key.
+        key = tuple(plan.caps.items())
         cached = self._quality_cache.get(key)
         if cached is not None:
             return cached
-        pseudo = self._pseudo_config(plan)
-        performance = self.estimator.solver.solve(pseudo, workloads)
+        if changed_vm is None:
+            performance = state.estimate
+        else:
+            performance = self._advance(
+                state, plan, changed_vm, workloads
+            ).estimate
         utility = self.estimator.utility
         perf_rate = sum(
             utility.perf_utility_rate(
@@ -342,26 +408,30 @@ class PerfPwrOptimizer:
 
     # -- gradient search ---------------------------------------------------------
 
-    def _candidates(self, plan: CapacityPlan) -> list[CapacityPlan]:
-        """One-step reductions: shave a cap or drop a replica."""
+    def _candidates(
+        self, plan: CapacityPlan
+    ) -> list[tuple[CapacityPlan, str]]:
+        """One-step reductions: shave a cap or drop a replica.
+
+        Each candidate comes with the one VM its step changed.
+        """
         step = self.limits.cpu_cap_step
         minimum = self.limits.min_vm_cpu_cap
-        counts = self._replica_counts(plan)
-        candidates: list[CapacityPlan] = []
+        candidates: list[tuple[CapacityPlan, str]] = []
+        replicas: dict[tuple[str, str], list[str]] = {}
         for vm_id, cap in plan.caps.items():
             if cap - step >= minimum - 1e-9:
-                candidates.append(plan.reduce_cap(vm_id, step))
-        for (app_name, tier_name), count in counts.items():
+                candidates.append((plan.reduce_cap(vm_id, step), vm_id))
+            descriptor = self.catalog.get(vm_id)
+            replicas.setdefault(
+                (descriptor.app_name, descriptor.tier_name), []
+            ).append(vm_id)
+        for (app_name, tier_name), vm_ids in replicas.items():
             tier = self.applications.get(app_name).tier(tier_name)
-            if count > tier.min_replicas:
+            if len(vm_ids) > tier.min_replicas:
                 # Drop the highest-numbered active replica of the tier.
-                replicas = sorted(
-                    vm_id
-                    for vm_id in plan.caps
-                    if self.catalog.get(vm_id).app_name == app_name
-                    and self.catalog.get(vm_id).tier_name == tier_name
-                )
-                candidates.append(plan.drop_vm(replicas[-1]))
+                victim = max(vm_ids)
+                candidates.append((plan.drop_vm(victim), victim))
         return candidates
 
     def _search_for_hosts(
@@ -370,36 +440,44 @@ class PerfPwrOptimizer:
         hosts: Sequence[str],
         workloads: Mapping[str, float],
         wkey: Optional[tuple] = None,
-    ) -> tuple[Optional[Configuration], CapacityPlan]:
+        state: Optional[SolveState] = None,
+    ) -> tuple[Optional[Configuration], CapacityPlan, Optional[SolveState]]:
         """Shrink ``plan`` until it packs on ``hosts`` (or give up).
 
-        Returns the packed configuration (or None) and the final plan,
+        Returns the packed configuration (or None), the final plan,
         which seeds the next, smaller host count — matching the paper's
-        iterative host-count reduction.
+        iterative host-count reduction — and the final plan's solve
+        state.  ``state`` is ``plan``'s solve state, or ``None`` until
+        a first gradient step needs it.
         """
         current = plan
-        busy, perf_rate, _ = self._plan_quality(current, workloads, wkey)
         while True:
             packed = self._pack(current, hosts)
             if packed is not None:
-                return packed, current
+                return packed, current, state
+            if state is None:
+                state = self._solve_plan(current, workloads)
+            busy, perf_rate, _ = self._plan_quality(
+                current, workloads, wkey, state
+            )
             candidates = self._candidates(current)
             if self.min_cap_for_target:
                 kept = []
-                for candidate in candidates:
+                for candidate, vm_id in candidates:
                     _, _, cand_rts = self._plan_quality(
-                        candidate, workloads, wkey
+                        candidate, workloads, wkey, state, vm_id
                     )
                     if self._meets_targets(cand_rts, workloads):
-                        kept.append(candidate)
+                        kept.append((candidate, vm_id))
                 candidates = kept
             if not candidates:
-                return None, current
+                return None, current, state
             best_candidate = None
+            best_vm = ""
             best_key: tuple[float, float] = (-math.inf, -math.inf)
-            for candidate in candidates:
+            for candidate, vm_id in candidates:
                 cand_busy, cand_perf, _ = self._plan_quality(
-                    candidate, workloads, wkey
+                    candidate, workloads, wkey, state, vm_id
                 )
                 delta_busy = cand_busy - busy
                 delta_perf = cand_perf - perf_rate
@@ -414,9 +492,10 @@ class PerfPwrOptimizer:
                 if key > best_key:
                     best_key = key
                     best_candidate = candidate
+                    best_vm = vm_id
             assert best_candidate is not None
             current = best_candidate
-            busy, perf_rate, _ = self._plan_quality(current, workloads, wkey)
+            state = self._advance(state, current, best_vm, workloads)
 
     # -- bin packing -------------------------------------------------------------
 
