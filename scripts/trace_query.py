@@ -269,17 +269,16 @@ def render_decision(index: int, span: dict, provenance: dict | None) -> str:
             "          "
             f"self_aware={search.get('self_aware', False)} "
             f"incremental={search.get('incremental', False)} "
-            f"array_core={search.get('array_core', False)} "
             f"wall={search.get('wall_seconds', 0.0):.4f}s"
         )
-        # Polish-produced records carry the backend name plus its own
-        # tallies (beam_tiers, sweep_replays, climb_starts); print
+        # Records carry the backend name, and polish-produced ones its
+        # own tallies (beam_tiers, sweep_replays, climb_starts); print
         # whatever is there so the drill-down identifies the backend
         # without a schema bump.
         known = {
             "expansions", "children_generated", "children_pruned",
             "candidates", "pruning_activated", "optimal", "early_return",
-            "deadline_aborted", "self_aware", "incremental", "array_core",
+            "deadline_aborted", "self_aware", "incremental",
             "wall_seconds", "decision_seconds",
         }
         extras = {

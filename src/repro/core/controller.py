@@ -19,7 +19,11 @@ from typing import Mapping, Optional
 
 from repro.core.actions import AdaptationAction
 from repro.core.config import Configuration
-from repro.core.search import AdaptationSearch, SearchOutcome
+from repro.core.search import (
+    SEARCH_WATTS_DELTA,
+    AdaptationSearch,
+    SearchOutcome,
+)
 from repro.faults import DegradationLadder, DegradationSettings
 from repro.telemetry import runtime as _telemetry
 from repro.workload.monitor import BandEscape, WorkloadMonitor
@@ -119,16 +123,15 @@ class MistralController:
         #: notion of simulation time, so the controller timestamps them
         #: with the sample it was processing.
         self._last_now: float = 0.0
-        search.on_executor_failure = self._on_executor_failure
+        search.on_strategy_failure = self._on_strategy_failure
 
-    def _on_executor_failure(self, kind: str) -> None:
+    def _on_strategy_failure(self) -> None:
         """A resilience signal surfaced from inside the search — polish
-        falling back to the exact A* (``"strategy_failure"``).  Tallied
-        per kind and fed to the degradation ladder like any other
-        execution fault."""
-        if kind == "strategy_failure":
-            self.stats.strategy_failures += 1
-        self.record_execution_fault(self._last_now, kind)
+        falling back to the exact A*.  Tallied and fed to the
+        degradation ladder like any other execution fault
+        (``"strategy_failure"``)."""
+        self.stats.strategy_failures += 1
+        self.record_execution_fault(self._last_now, "strategy_failure")
 
     # -- resilience -------------------------------------------------------
 
@@ -347,7 +350,7 @@ class MistralController:
                 null=outcome.is_null,
                 expansions=outcome.expansions,
                 decision_seconds=outcome.decision_seconds,
-                search_watts=self.search.settings.search_watts_delta,
+                search_watts=SEARCH_WATTS_DELTA,
                 predicted_utility=outcome.predicted_utility,
             )
             if outcome.provenance is not None:
@@ -402,7 +405,7 @@ class MistralController:
             actions=outcome.actions,
             control_window=window,
             decision_seconds=outcome.decision_seconds,
-            search_watts=self.search.settings.search_watts_delta,
+            search_watts=SEARCH_WATTS_DELTA,
             outcome=outcome,
             escape=escape,
         )

@@ -37,7 +37,6 @@ identical verdicts, identical ordering.
 
 from __future__ import annotations
 
-import math
 import struct
 from typing import Mapping, Optional
 
@@ -626,20 +625,19 @@ class ArrayBasis:
             sums = column_sums(fused)
             return np.sqrt(sums[:n]) + (1.0 - sums[n:] / total)
 
-    def sel_reductions(
+    def sel_togo(
         self,
         state,
         plan: RoundPlan,
         sel: np.ndarray,
         values: tuple,
-        dist_sel: Optional[np.ndarray],
         n_on: int,
         n_off: int,
-    ) -> tuple[list, list]:
-        """(distance, cost-to-go) per selected column, as exact float
-        lists — per column, the sums ``_SearchBasis.distance`` and
-        ``_SearchBasis.togo_seconds`` run over the child's state."""
-        dist_vals, match_vals, togo_vals = values
+    ) -> list:
+        """Cost-to-go seconds per selected column, as an exact float
+        list — per column, the sum ``_SearchBasis.togo_seconds`` runs
+        over the child's state."""
+        togo_vals = values[2]
         k = sel.size
         if k < 24:
             # Narrow (pruned) rounds: replay each column's reduction as
@@ -647,53 +645,28 @@ class ArrayBasis:
             # exact prefix up to the substituted row, then the
             # remaining rows in order — which beats the kernels' fixed
             # setup at this size and is bit-identical by construction.
-            return self._sel_reductions_scalar(
-                state, plan, sel, values, dist_sel, n_on, n_off
+            return self._sel_togo_scalar(
+                state, plan, sel, togo_vals, n_on, n_off
             )
         togo_m = np.repeat(
             np.array(state.togo_terms, dtype=np.float64)[:, None], k, axis=1
         )
         vm_sel = plan.vm[sel]
         has = vm_sel >= 0
-        cols = np.flatnonzero(has)
-        vms = vm_sel[has]
-        togo_m[vms, cols] = togo_vals[sel][has]
-        if dist_sel is None:
-            cap_m = np.repeat(
-                np.array(state.cap_terms, dtype=np.float64)[:, None],
-                k,
-                axis=1,
-            )
-            match_m = np.repeat(
-                np.array(state.host_matches, dtype=np.float64)[:, None],
-                k,
-                axis=1,
-            )
-            cap_m[vms, cols] = dist_vals[sel][has]
-            match_m[vms, cols] = match_vals[sel][has]
-            cap_sum = column_sums(cap_m)
-            total = self.total
-            if total:
-                match_sum = column_sums(match_m)
-                dist_vec = np.sqrt(cap_sum) + (1.0 - match_sum / total)
-            else:
-                dist_vec = np.sqrt(cap_sum)
-        else:
-            dist_vec = dist_sel
-        togo_sum = column_sums(togo_m)
+        togo_m[vm_sel[has], np.flatnonzero(has)] = togo_vals[sel][has]
         # Power legs chained in ``togo_seconds``' order (float
         # addition is order-sensitive).
-        togo_vec = togo_sum
+        togo_vec = column_sums(togo_m)
         for _ in range(n_on):
             togo_vec = togo_vec + self.on_dur
         for _ in range(n_off):
             togo_vec = togo_vec + self.off_dur
-        return dist_vec.tolist(), togo_vec.tolist()
+        return togo_vec.tolist()
 
-    def _sel_reductions_scalar(
-        self, state, plan, sel, values, dist_sel, n_on, n_off
-    ) -> tuple[list, list]:
-        """Scalar replay of :meth:`sel_reductions` for narrow rounds.
+    def _sel_togo_scalar(
+        self, state, plan, sel, togo_vals, n_on, n_off
+    ) -> list:
+        """Scalar replay of :meth:`sel_togo` for narrow rounds.
 
         A column's sum substitutes at most one row of the base terms,
         so its addition chain is an exact prefix of the base chain,
@@ -701,9 +674,6 @@ class ArrayBasis:
         sharing the prefixes across columns changes no operation.
         Power columns (no substitution) take the full base chain.
         """
-        dist_vals, match_vals, togo_vals = values
-        sel_l = sel.tolist()
-        vm_l = plan.vm[sel].tolist()
         togo_terms = state.togo_terms
         n_rows = len(togo_terms)
         tpref = [0.0] * (n_rows + 1)
@@ -715,7 +685,8 @@ class ArrayBasis:
         togo_vals_l = togo_vals[sel].tolist()
         on_dur = self.on_dur
         off_dur = self.off_dur
-        togo_list = [0.0] * len(sel_l)
+        vm_l = plan.vm[sel].tolist()
+        togo_list = [0.0] * len(vm_l)
         for j, vm in enumerate(vm_l):
             if vm >= 0:
                 acc = tpref[vm] + togo_vals_l[j]
@@ -728,71 +699,23 @@ class ArrayBasis:
             for _ in range(n_off):
                 acc = acc + off_dur
             togo_list[j] = acc
-        if dist_sel is not None:
-            return dist_sel.tolist(), togo_list
-        cap_terms = state.cap_terms
-        host_matches = state.host_matches
-        cpref = [0.0] * (n_rows + 1)
-        acc = 0.0
-        for i, term in enumerate(cap_terms):
-            cpref[i] = acc
-            acc = acc + term
-        cpref[n_rows] = acc
-        total = self.total
-        if total:
-            mpref = [0.0] * (n_rows + 1)
-            acc = 0.0
-            for i, term in enumerate(host_matches):
-                mpref[i] = acc
-                acc = acc + term
-            mpref[n_rows] = acc
-        dist_vals_l = dist_vals[sel].tolist()
-        match_vals_l = match_vals[sel].tolist()
-        dist_list = [0.0] * len(sel_l)
-        for j, vm in enumerate(vm_l):
-            if vm >= 0:
-                cap_sum = cpref[vm] + dist_vals_l[j]
-                for i in range(vm + 1, n_rows):
-                    cap_sum = cap_sum + cap_terms[i]
-            else:
-                cap_sum = cpref[n_rows]
-            if total:
-                if vm >= 0:
-                    match_sum = mpref[vm] + match_vals_l[j]
-                    for i in range(vm + 1, n_rows):
-                        match_sum = match_sum + host_matches[i]
-                else:
-                    match_sum = mpref[n_rows]
-                dist_list[j] = math.sqrt(cap_sum) + (
-                    1.0 - match_sum / total
-                )
-            else:
-                dist_list[j] = math.sqrt(cap_sum)
-        return dist_list, togo_list
+        return togo_list
 
-    def parent_rows(
-        self, configuration: Configuration, key: Optional[bytes] = None
-    ) -> _ParentRows:
+    def parent_rows(self, key: bytes) -> _ParentRows:
         """Codec rows of the expansion parent plus exact cap steps.
 
-        When the parent's dedup ``key`` is on hand it is decoded
-        directly — the key *is* the codec rows' concatenated bytes
-        (host int16 | caps float64 | powered uint8), so slicing it back
-        into arrays skips re-encoding the ``Configuration`` and is
-        byte-identical by construction."""
+        The parent's dedup ``key`` is decoded directly — the key *is*
+        the codec rows' concatenated bytes (host int16 | caps float64 |
+        powered uint8), so slicing it back into arrays skips
+        re-encoding the ``Configuration`` and is byte-identical by
+        construction."""
         statics = self.statics
-        if key is not None:
-            n_vms = len(statics.codec.vm_ids)
-            host16 = np.frombuffer(key, dtype=np.int16, count=n_vms)
-            caps = np.frombuffer(
-                key, dtype=np.float64, count=n_vms, offset=2 * n_vms
-            )
-            powered_bytes = key[10 * n_vms :]
-        else:
-            arrays = statics.codec.encode(configuration)
-            host16 = arrays.host_index
-            caps = arrays.cpu_caps
-            powered_bytes = arrays.powered.tobytes()
+        n_vms = len(statics.codec.vm_ids)
+        host16 = np.frombuffer(key, dtype=np.int16, count=n_vms)
+        caps = np.frombuffer(
+            key, dtype=np.float64, count=n_vms, offset=2 * n_vms
+        )
+        powered_bytes = key[10 * n_vms :]
         host64 = host16.astype(np.int64)
         steps = np.zeros(caps.size, dtype=np.int64)
         grid_ok = True
@@ -914,65 +837,49 @@ class ArrayBasis:
         plan: RoundPlan,
         sel: np.ndarray,
         parent: _ParentRows,
-        parent_key: Optional[bytes] = None,
+        parent_key: bytes,
     ) -> list:
         """Dedup key per selected column (``None`` where no VM moves):
         the parent's codec rows with the action's single cell edited —
         byte-identical to encoding the materialized child.
 
-        With the parent's own ``parent_key`` bytes on hand, each child
-        key is spliced directly out of them — the edited VM's int16
-        host cell lives at byte ``2*vm`` and its float64 cap cell at
-        ``2*n_vms + 8*vm``, so three slices plus the two packed cells
-        reproduce the row-scatter result byte for byte without the
-        matrix materialization."""
-        k = sel.size
+        Each child key is spliced directly out of the parent's own
+        ``parent_key`` bytes — the edited VM's int16 host cell lives at
+        byte ``2*vm`` and its float64 cap cell at ``2*n_vms + 8*vm``,
+        so three slices plus the two packed cells reproduce the
+        encoding byte for byte without materializing any matrix."""
         vm_sel = plan.vm[sel]
-        keys: list = [None] * k
-        if parent_key is not None:
-            caps_off = 2 * parent.host16.size
-            pack_host = _PACK_INT16
-            pack_cap = _PACK_FLOAT64
-            join = b"".join
-            # Columns cluster by VM (a VM's actions are contiguous in
-            # enumeration order), so the three parent slices around
-            # each VM's cells are computed once per VM.
-            slices: dict[int, tuple] = {}
-            host_l = plan.host[sel].tolist()
-            cap_l = plan.cap[sel].tolist()
-            for row, vm in enumerate(vm_sel.tolist()):
-                if vm < 0:
-                    continue
-                parts = slices.get(vm)
-                if parts is None:
-                    o1 = 2 * vm
-                    o2 = caps_off + 8 * vm
-                    parts = (
-                        parent_key[:o1],
-                        parent_key[o1 + 2 : o2],
-                        parent_key[o2 + 8 :],
-                    )
-                    slices[vm] = parts
-                keys[row] = join(
-                    (
-                        parts[0],
-                        pack_host(host_l[row]),
-                        parts[1],
-                        pack_cap(cap_l[row]),
-                        parts[2],
-                    )
+        keys: list = [None] * sel.size
+        caps_off = 2 * parent.host16.size
+        pack_host = _PACK_INT16
+        pack_cap = _PACK_FLOAT64
+        join = b"".join
+        # Columns cluster by VM (a VM's actions are contiguous in
+        # enumeration order), so the three parent slices around each
+        # VM's cells are computed once per VM.
+        slices: dict[int, tuple] = {}
+        host_l = plan.host[sel].tolist()
+        cap_l = plan.cap[sel].tolist()
+        for row, vm in enumerate(vm_sel.tolist()):
+            if vm < 0:
+                continue
+            parts = slices.get(vm)
+            if parts is None:
+                o1 = 2 * vm
+                o2 = caps_off + 8 * vm
+                parts = (
+                    parent_key[:o1],
+                    parent_key[o1 + 2 : o2],
+                    parent_key[o2 + 8 :],
                 )
-            return keys
-        has = vm_sel >= 0
-        host_rows = np.tile(parent.host16, (k, 1))
-        cap_rows = np.tile(parent.caps, (k, 1))
-        rows = np.flatnonzero(has)
-        vms = vm_sel[has]
-        host_rows[rows, vms] = plan.host[sel][has]  # int64 -> int16 cast
-        cap_rows[rows, vms] = plan.cap[sel][has]
-        powered = parent.powered_bytes
-        for row in rows.tolist():
-            keys[row] = (
-                host_rows[row].tobytes() + cap_rows[row].tobytes() + powered
+                slices[vm] = parts
+            keys[row] = join(
+                (
+                    parts[0],
+                    pack_host(host_l[row]),
+                    parts[1],
+                    pack_cap(cap_l[row]),
+                    parts[2],
+                )
             )
         return keys

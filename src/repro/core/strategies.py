@@ -14,13 +14,18 @@ two backends:
   dual-criterion beam, a short-plan sweep over the seed actions and
   transposition/deletion hill-climbs.
 
+Both backends run on the same per-search run (``search._SearchRun``):
+the ideal and its basis, the Eq. 3 valuation, the single-child
+builder, the seed chains and the outcome funnel.  Polish adds only its
+walk, its incumbent and its chaos hooks.
+
 The polish backend's contract (test-enforced by
 ``tests/test_strategies.py``):
 
 - **Deterministic** — it draws no random numbers; the wall clock is
   consulted only by the deadline watchdog.
 - **Anytime** — a feasible incumbent (at worst the explicit null plan)
-  exists from the first instant, so aborting at any point — the PR 5
+  exists from the first instant, so aborting at any point — the
   deadline watchdog, controller degradation — returns a valid,
   executable plan.
 - **Watchdog-composed** — ``settings.deadline_seconds`` is checked
@@ -41,23 +46,25 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from repro.core.actions import ActionError, AdaptationAction, NullAction
+from repro.core.actions import ActionError, AdaptationAction
 from repro.core.config import Configuration
-from repro.core.planner import plan_transition
+from repro.core.estimator import SteadyEstimate
 from repro.faults.injector import InjectedSolverFault
 from repro.core.search import (
+    MAX_PLAN_ACTIONS,
+    PER_CHILD_APPLY_SECONDS,
+    PER_CHILD_EVAL_SECONDS,
+    PER_VERTEX_SECONDS,
     STRATEGY_KINDS,
     SearchOutcome,
     SearchSettings,
-    _SearchBasis,
-    _VertexState,
+    _SearchRun,
+    _Vertex,
 )
 from repro.telemetry import phases as _phases
 from repro.telemetry import runtime as _telemetry
-from repro.telemetry.provenance import ProvenanceCollector, plan_breakdown
 
 __all__ = ["polish_search", "resolve_strategy_name"]
 
@@ -92,43 +99,35 @@ def polish_search(
     settings: SearchSettings,
 ) -> SearchOutcome:
     """Run the ``"polish"`` backend: seed plans, then polish them."""
-    ctx = _WalkContext(search, current, workloads, control_window, settings)
-    if ctx.ideal.configuration == current:
-        return ctx.finish(optimal=True, early_return=True)
-    ctx.seed_plans()
-    return ctx.finish(ctx.polish())
+    walk = _PolishWalk(search, current, workloads, control_window, settings)
+    if walk.settled:
+        return walk.finish_early()
+    walk.seed_plans()
+    stats = walk.polish()
+    return walk.finish(
+        walk.best_actions,
+        walk.best_configuration,
+        walk.best_value,
+        walk.expansions,
+        walk.virtual_seconds,
+        stats=stats,
+    )
 
 
-@dataclass(slots=True)
-class _WalkNode:
-    """One position of the polish walk: a configuration plus the
-    Eq. 3 accrual of the action chain that reached it (the same
-    quantities an A* vertex carries, minus the frontier bookkeeping)."""
-
-    configuration: Configuration
-    state: _VertexState
-    actions: tuple[AdaptationAction, ...]
-    accrued: float
-    elapsed: float
-    parent_configuration: Optional[Configuration] = None
-    changed_vms: frozenset = frozenset()
-    is_candidate: bool = False
-    #: Memoized steady estimate (one estimator call per node).
-    steady_cache: Optional[object] = None
-
-
-class _WalkContext:
+class _PolishWalk(_SearchRun):
     """Per-run state of the polish backend.
 
-    Builds the same evaluation scaffolding the A* preamble does — the
-    Perf-Pwr ideal (scope-projected for 1st-level controllers), the
-    distance basis, the incremental :class:`_SearchBasis`, the primed
-    estimator — and exposes child construction, Eq. 3 valuation,
-    incumbent tracking and outcome assembly on top of it.  Decision
-    time uses the same virtual accounting as the A* (per-step and
-    per-child charges), so durations are deterministic and platform-
-    independent.
+    The shared search run supplies the scaffolding — the Perf-Pwr ideal
+    (scope-projected for 1st-level controllers), the incremental
+    ``_SearchBasis``, the Eq. 3 valuation, the single-child builder,
+    the seed chains and the outcome funnel.  The walk adds incumbent
+    tracking, ranked moves, the beam, the sweep and the climbs, and
+    the chaos hooks.  Decision time uses the same virtual accounting as
+    the A* (per-step and per-child charges), so durations are
+    deterministic and platform-independent.
     """
+
+    strategy = "polish"
 
     def __init__(
         self,
@@ -138,98 +137,36 @@ class _WalkContext:
         control_window: float,
         settings: SearchSettings,
     ) -> None:
-        self.wall_start = time.perf_counter()
-        self.search = search
-        self.settings = settings
-        self.workloads = workloads
-        self.wkey = search.estimator.workload_key(workloads)
-        ideal = search.perf_pwr.optimize(workloads)
-        if search.scope_hosts is not None:
-            ideal = search._project_ideal(current, ideal, workloads)
-        self.ideal = ideal
-        self.ideal_rate = ideal.ideal_rate
-        self.window = max(control_window, 0.0)
-        self.current = current
-        self.current_estimate = search.estimator.estimate(
-            current, workloads, key=self.wkey
+        # Polish always evaluates incrementally — the delta path is
+        # bit-compatible with the full path, so this is a throughput
+        # choice, not a semantic one.
+        super().__init__(
+            search, current, workloads, control_window, settings, True
         )
-        self.current_rate = self.current_estimate.total_rate
-        self.deadline = settings.deadline_seconds
-        self.deadline_hit = False
         #: Chaos-mode fault injector (``search.fault_injector``):
         #: solver-exception and strategy-stall injection points.
-        self.injector = getattr(search, "fault_injector", None)
+        self.injector = search.fault_injector
         #: Nodes whose actions were enumerated (``ranked_actions``
         #: cache misses) — polish's counterpart of A* expansions.
         self.expansions = 0
-        self.evaluations = 0
-        self.candidate_offers = 0
         self.virtual_seconds = 0.0
-        self.collector = (
-            ProvenanceCollector()
-            if _telemetry.enabled and _telemetry.provenance
-            else None
-        )
-        self.profile = _phases.PhaseProfile() if _telemetry.enabled else None
-        if self.profile is not None:
-            _phases.set_profile(self.profile)
-        # Polish always evaluates incrementally — the delta path is
-        # bit-compatible with the full path (PR 1), so this is a
-        # throughput choice, not a semantic one.
-        ideal_weights, ideal_caps = search._ideal_distance_basis(ideal)
-        self.ideal_caps = ideal_caps
-        durations = search._togo_durations(workloads)
-        search.estimator.prime(current, workloads, key=self.wkey)
-        self.basis = _SearchBasis(
-            search.catalog,
-            search.limits,
-            ideal.configuration,
-            ideal_weights,
-            ideal_caps,
-            durations,
-        )
-        self.rate_gap = settings.togo_discount * max(
-            self.ideal_rate - self.current_rate,
-            0.1 * abs(self.ideal_rate),
-            1e-9,
-        )
-        root_state = self.basis.full_state(current)
-        self.root = _WalkNode(
-            configuration=current,
-            state=root_state,
-            actions=(),
-            accrued=0.0,
-            elapsed=0.0,
-            is_candidate=self.basis.is_candidate(root_state),
-        )
-        self.root.steady_cache = self.current_estimate
         #: Incumbent: starts at the explicit null plan, so any abort
         #: returns a valid decision (the anytime guarantee).
-        self.null_value = self.window * self.current_rate
-        self.best_value = self.null_value
+        self.best_value = self.window * self.current_rate
         self.best_actions: tuple = ()
         self.best_configuration = current
         #: Ranked-action proposals per visited configuration (ranking
         #: is deterministic, so caching cannot change decisions).
         self._ranked: dict[Configuration, list] = {}
+        #: The walk's start (built by :meth:`seed_plans`).
+        self.root: Optional[_Vertex] = None
         #: Seed chains recorded by :meth:`seed_plans` (polish starts).
-        self.seed_chains: list[list[_WalkNode]] = []
+        self.chains: list[list[_Vertex]] = []
         #: Useful plans are at most a few actions longer than the
         #: planner's direct route to the ideal: past the window's end
         #: accrual freezes, so deeper wandering only pads the plan.
         #: ``seed_plans`` tightens this to the longest seed plan + 3.
-        self.depth_limit = min(settings.max_plan_actions, 12)
-
-    # -- clock ---------------------------------------------------------
-
-    def out_of_time(self) -> bool:
-        """Cooperative watchdog check (one clock read; no deadline →
-        no reads at all, keeping runs deterministic)."""
-        if self.deadline is None or self.deadline_hit:
-            return self.deadline_hit
-        if time.perf_counter() - self.wall_start >= self.deadline:
-            self.deadline_hit = True
-        return self.deadline_hit
+        self.depth_limit = min(MAX_PLAN_ACTIONS, 12)
 
     def maybe_stall(self) -> None:
         """Chaos injection: sleep one injected stall before a beam tier
@@ -251,15 +188,15 @@ class _WalkContext:
 
     # -- evaluation ----------------------------------------------------
 
-    def steady(self, node: _WalkNode):
-        """Steady estimate of a node, via the incremental delta path
-        when lineage allows (memoized per node).
+    def steady(self, node: _Vertex) -> SteadyEstimate:
+        """Steady estimate of a node, memoized per node (one estimator
+        call each).
 
         Chaos mode may raise :class:`InjectedSolverFault` here — polish
         lets it propagate, and ``AdaptationSearch.search`` answers with
         the exact-A* fallback (polish failure degradation).
         """
-        estimate = node.steady_cache
+        estimate = node.steady
         if estimate is None:
             injector = self.injector
             if injector is not None and injector.solver_exception():
@@ -268,32 +205,10 @@ class _WalkContext:
                 raise InjectedSolverFault(
                     "injected LQN solver failure mid-evaluation"
                 )
-            if node.parent_configuration is not None:
-                estimate = self.search.estimator.estimate_child(
-                    node.parent_configuration,
-                    node.configuration,
-                    node.changed_vms,
-                    self.workloads,
-                    key=self.wkey,
-                )
-            else:
-                estimate = self.search.estimator.estimate(
-                    node.configuration, self.workloads, key=self.wkey
-                )
-            node.steady_cache = estimate
+            estimate = node.steady = super().steady(node)
         return estimate
 
-    def bound(self, node: _WalkNode) -> float:
-        """Admissible Eq. 3 bound (ideal rate over the remainder)."""
-        remaining = max(0.0, self.window - node.elapsed)
-        return remaining * self.ideal_rate + node.accrued
-
-    def candidate_value(self, node: _WalkNode) -> float:
-        """True Eq. 3 value of committing to this candidate."""
-        remaining = max(0.0, self.window - node.elapsed)
-        return remaining * self.steady(node).total_rate + node.accrued
-
-    def walk_score(self, node: _WalkNode) -> float:
+    def walk_score(self, node: _Vertex) -> float:
         """Local navigation score: the *true* Eq. 3 value of stopping
         here (steady-solved, not the admissible bound — the bound
         rewards any distance-reducing edit no matter how bad its real
@@ -305,47 +220,37 @@ class _WalkContext:
         value = self.candidate_value(node)
         if node.is_candidate:
             return value
-        seconds = self.basis.togo_seconds(node.state, node.configuration)
-        return value - (
-            self.settings.guidance_weight * seconds * self.rate_gap
-        )
+        return value - self.togo_penalty(node)
 
-    def offer(self, node: _WalkNode) -> float:
+    def offer(self, node: _Vertex) -> None:
         """Evaluate a candidate node and raise the incumbent if it
         wins.  Every offer is also a provenance candidate note, so
-        ``decision.provenance`` records the rejected rivals."""
+        ``decision.provenance`` records the rejected rivals.
+        Intermediate nodes are not offered."""
+        if not node.is_candidate:
+            return
         value = self.candidate_value(node)
-        self.candidate_offers += 1
+        self.candidates += 1
         if self.collector is not None:
             self.collector.note_candidate(value, node.actions)
         if value > self.best_value:
             self.best_value = value
             self.best_actions = node.actions
             self.best_configuration = node.configuration
-        return value
 
     def prewarm(self, nodes: list) -> None:
         """Batch-solve the steady estimates of multiple candidate nodes
         through ``LqnSolver.solve_batch`` before they are read one by
         one (identical values — the batch kernel is bit-identical to
         the scalar solver)."""
-        pending = [
-            node.configuration for node in nodes if node.steady_cache is None
-        ]
-        if len(pending) < 2:
-            return
-        batch = self.settings.batch_size
-        with _phases.phase("solve"):
-            for start in range(0, len(pending), batch):
-                self.search.estimator.estimate_batch(
-                    pending[start : start + batch],
-                    self.workloads,
-                    key=self.wkey,
-                )
+        pending = [node.configuration for node in nodes if node.steady is None]
+        if len(pending) >= 2:
+            with _phases.phase("solve"):
+                self.estimate_batch(pending)
 
     # -- moves ---------------------------------------------------------
 
-    def ranked_actions(self, node: _WalkNode) -> list:
+    def ranked_actions(self, node: _Vertex) -> list:
         """The applicable actions from a node, closest-to-ideal first —
         the same enumeration and distance ranking the self-aware prune
         uses, so polish inherits scope filtering and ideal-cap highways
@@ -353,7 +258,7 @@ class _WalkContext:
         toggles rank after the placements (their child distance ties
         with the parent's, yet they are exactly the moves that finish a
         consolidation).  Each cache miss is one expansion, charged
-        ``per_vertex_seconds`` like an A* expansion."""
+        ``PER_VERTEX_SECONDS`` like an A* expansion."""
         cached = self._ranked.get(node.configuration)
         if cached is None:
             self.expansions += 1
@@ -365,8 +270,6 @@ class _WalkContext:
             entries = []
             toggles = []
             for order, action in enumerate(possible):
-                if isinstance(action, NullAction):
-                    continue  # polish offers candidates directly
                 try:
                     delta = action.placement_delta(
                         node.configuration, search.catalog, search.limits
@@ -385,127 +288,65 @@ class _WalkContext:
                     )
                 )
             entries.sort(key=lambda entry: (entry[0], entry[1]))
-            self.virtual_seconds += self.settings.per_vertex_seconds + (
+            self.virtual_seconds += PER_VERTEX_SECONDS + (
                 len(entries) + len(toggles)
-            ) * self.settings.per_child_apply_seconds
+            ) * PER_CHILD_APPLY_SECONDS
             cached = [
                 (action, delta) for _, _, action, delta in entries
             ] + toggles
             self._ranked[node.configuration] = cached
         return cached
 
-    def make_child(
-        self, node: _WalkNode, action: AdaptationAction, delta: tuple
-    ) -> Optional[_WalkNode]:
-        """Apply one action: the same child arithmetic as the A*'s
-        ``build_child`` (delta-derived configuration and state, Cost
-        Manager transients, window-truncated rate-capped accrual)."""
-        search = self.search
-        if len(delta) == 1:
-            ((vm_id, placement),) = delta
-            configuration = (
-                node.configuration.remove(vm_id)
-                if placement is None
-                else node.configuration.replace(vm_id, placement)
-            )
-        else:
-            try:
-                configuration = action.apply(
-                    node.configuration, search.catalog, search.limits
-                )
-            except ActionError:
-                return None
-        state = self.basis.child_state(node.configuration, node.state, delta)
-        predicted = search.cost_manager.predict(
-            action, node.configuration, self.workloads
-        )
-        perf_rate, power_rate = search.estimator.transient_rates(
-            self.steady(node),
-            self.workloads,
-            predicted.rt_delta,
-            predicted.power_delta_watts,
-        )
-        effective = min(
-            predicted.duration, max(0.0, self.window - node.elapsed)
-        )
-        transient_rate = min(perf_rate + power_rate, self.ideal_rate)
-        child = _WalkNode(
-            configuration=configuration,
-            state=state,
-            actions=node.actions + (action,),
-            accrued=node.accrued + effective * transient_rate,
-            elapsed=node.elapsed + predicted.duration,
-            parent_configuration=node.configuration,
-            changed_vms=frozenset(vm_id for vm_id, _ in delta),
-            is_candidate=self.basis.is_candidate(state),
-        )
-        self.evaluations += 1
-        self.virtual_seconds += self.settings.per_child_eval_seconds
-        return child
-
-    def seed_plans(self) -> None:
-        """Install the direct transition plans to the ideal (and its
-        Perf-Pwr alternatives) as starting incumbents — the same
-        seeding the A* uses, so polish starts from the planner's best
-        direct plan and can only improve on it.  The seed chains (one
-        ``[_WalkNode, ...]`` per target, root excluded) are kept for
-        :meth:`sweep` and :meth:`polish`."""
-        chains: list[list[_WalkNode]] = []
-        if not self.settings.seed_with_plan:
-            return
-        search = self.search
-        targets = [self.ideal.configuration] + [
-            alternative.configuration
-            for alternative in self.ideal.alternatives
-            if alternative.configuration != self.ideal.configuration
-        ]
-        longest = 0
-        with _phases.phase("score"):
-            for target in targets:
-                node = self.root
-                chain: list[_WalkNode] = []
-                for action in plan_transition(
-                    self.current, target, search.catalog, search.limits
-                ):
-                    if action.kind not in self.settings.allowed_kinds:
-                        break  # keep the valid prefix only
-                    try:
-                        delta = action.placement_delta(
-                            node.configuration, search.catalog, search.limits
-                        )
-                    except ActionError:
-                        break
-                    node = self.make_child(node, action, delta)
-                    if node is None:
-                        break
-                    chain.append(node)
-                    if node.is_candidate:
-                        self.offer(node)
-                longest = max(longest, len(node.actions))
-                if chain:
-                    chains.append(chain)
-        self.depth_limit = min(
-            self.settings.max_plan_actions, max(self.depth_limit, longest + 3)
-        )
-        self.seed_chains = chains
-
-    def replay(self, actions) -> Optional[_WalkNode]:
-        """Re-walk an action sequence from the root, offering every
-        candidate prefix met on the way; ``None`` if any step fails."""
-        node = self.root
-        search = self.search
-        for action in actions:
+    def step(
+        self,
+        node: _Vertex,
+        action: AdaptationAction,
+        delta: Optional[tuple] = None,
+    ) -> Optional[_Vertex]:
+        """Apply one action through the run's single-child builder,
+        charged one child evaluation.  ``delta`` is the action's
+        placement delta when :meth:`ranked_actions` already validated
+        it; otherwise it is derived here, and ``None`` is returned when
+        the action does not apply at ``node``."""
+        if delta is None:
+            search = self.search
             try:
                 delta = action.placement_delta(
                     node.configuration, search.catalog, search.limits
                 )
             except ActionError:
                 return None
-            node = self.make_child(node, action, delta)
+        child = self.child(node, action, delta, self.steady(node))
+        if child is not None:
+            self.generated += 1
+            self.virtual_seconds += PER_CHILD_EVAL_SECONDS
+        return child
+
+    def seed_plans(self) -> None:
+        """Install the direct transition plans to the ideal (and its
+        Perf-Pwr alternatives) as starting incumbents — the same
+        seeding the A* uses, so polish starts from the planner's best
+        direct plan and can only improve on it.  The seed chains are
+        kept for :meth:`sweep` and :meth:`polish`."""
+        self.root = root = self.make_root()
+        root.steady = self.current_estimate
+        with _phases.phase("score"):
+            chains = self.seed_chains(root, self.step, self.offer)
+        longest = max((len(chain[-1].actions) for chain in chains), default=0)
+        self.depth_limit = min(
+            MAX_PLAN_ACTIONS, max(self.depth_limit, longest + 3)
+        )
+        self.chains = chains
+
+    def replay(self, actions) -> Optional[_Vertex]:
+        """Re-walk an action sequence from the root, offering every
+        candidate prefix met on the way; ``None`` if any step fails."""
+        node = self.root
+        for action in actions:
+            node = self.step(node, action)
             if node is None:
                 return None
-            if node.is_candidate:
-                self.offer(node)
+            self.offer(node)
         return node
 
     def sweep(self, max_len: int = 3, beam: int = 6) -> int:
@@ -520,7 +361,7 @@ class _WalkContext:
         incumbent through :meth:`offer`.  Returns the replay count."""
         pool: list[AdaptationAction] = []
         seen: set[AdaptationAction] = set()
-        for chain in self.seed_chains:
+        for chain in self.chains:
             for node in chain:
                 action = node.actions[-1]
                 if action not in seen:
@@ -571,12 +412,12 @@ class _WalkContext:
             for _ in range(self.depth_limit):
                 self.maybe_stall()
                 mark = self.best_value
-                children: list[_WalkNode] = []
+                children: list[_Vertex] = []
                 for node in tier:
                     if self.out_of_time():
                         return depths
                     for action, delta in self.ranked_actions(node):
-                        child = self.make_child(node, action, delta)
+                        child = self.step(node, action, delta)
                         if child is not None:
                             children.append(child)
                 if not children:
@@ -596,8 +437,7 @@ class _WalkContext:
                 ]
                 self.prewarm(children)
                 for child in children:
-                    if child.is_candidate:
-                        self.offer(child)
+                    self.offer(child)
                 by_value = sorted(
                     range(len(children)),
                     key=lambda i: (-self.walk_score(children[i]), i),
@@ -674,7 +514,7 @@ class _WalkContext:
         Returns the run's tallies (``beam_tiers``, ``sweep_replays``,
         ``climb_starts``)."""
         starts = []
-        for chain in self.seed_chains:
+        for chain in self.chains:
             actions = chain[-1].actions
             if actions and actions not in starts:
                 starts.append(actions)
@@ -712,153 +552,3 @@ class _WalkContext:
             "sweep_replays": sweep_replays,
             "climb_starts": climbs,
         }
-
-    # -- outcome -------------------------------------------------------
-
-    def finish(
-        self,
-        stats: Optional[dict] = None,
-        *,
-        optimal: bool = False,
-        early_return: bool = False,
-    ) -> SearchOutcome:
-        """Assemble the outcome and emit the one telemetry record per
-        search — mirroring the A*'s ``complete`` funnel (``search.run``
-        event, watchdog/pruning counters, phase profile, decision
-        provenance) plus polish's own ``search.strategy.polish.*``
-        tallies."""
-        if self.profile is not None:
-            _phases.set_profile(None)
-        actions = tuple(
-            action
-            for action in self.best_actions
-            if not isinstance(action, NullAction)
-        )
-        decision_seconds = max(
-            self.settings.per_vertex_seconds, self.virtual_seconds
-        )
-        outcome = SearchOutcome(
-            actions=actions,
-            final_configuration=self.best_configuration,
-            predicted_utility=self.best_value,
-            ideal=self.ideal,
-            expansions=self.expansions,
-            decision_seconds=decision_seconds,
-            wall_seconds=time.perf_counter() - self.wall_start,
-            pruning_activated=False,
-            optimal=optimal,
-            deadline_aborted=self.deadline_hit,
-        )
-        if _telemetry.enabled:
-            registry = _telemetry.registry
-            registry.counter("search.runs").inc()
-            if self.deadline_hit:
-                registry.counter("watchdog.deadline_aborts").inc()
-                _telemetry.tracer.event(
-                    "watchdog.deadline_abort",
-                    deadline=self.deadline,
-                    wall_seconds=outcome.wall_seconds,
-                    expansions=outcome.expansions,
-                    actions=len(outcome.actions),
-                )
-            registry.counter("search.expansions").inc(outcome.expansions)
-            registry.counter("search.children_generated").inc(
-                self.evaluations
-            )
-            registry.counter("search.candidates").inc(self.candidate_offers)
-            if early_return:
-                registry.counter("search.early_returns").inc()
-            for key, value in (stats or {}).items():
-                if value > 0:
-                    registry.counter(f"search.strategy.polish.{key}").inc(
-                        value
-                    )
-            registry.gauge("search.heuristic_gap").set(
-                self.window * self.ideal_rate - outcome.predicted_utility
-            )
-            _telemetry.tracer.event(
-                "search.run",
-                dur=outcome.wall_seconds,
-                self_aware=self.settings.self_aware,
-                incremental=True,
-                expansions=outcome.expansions,
-                children_generated=self.evaluations,
-                children_pruned=0,
-                candidates=self.candidate_offers,
-                pruning_activated=False,
-                decision_seconds=outcome.decision_seconds,
-                predicted_utility=outcome.predicted_utility,
-                actions=len(outcome.actions),
-                optimal=outcome.optimal,
-                early_return=early_return,
-            )
-            if self.profile is not None and self.profile:
-                _telemetry.tracer.event(
-                    "profile.phases",
-                    phases=self.profile.snapshot(),
-                    wall_seconds=outcome.wall_seconds,
-                    expansions=outcome.expansions,
-                    array_core=False,
-                )
-            if self.collector is not None:
-                if self.deadline_hit:
-                    self.collector.note_deadline(0, None)
-                try:
-                    totals, per_action = plan_breakdown(
-                        self.search.estimator,
-                        self.search.catalog,
-                        self.search.limits,
-                        self.search.cost_manager,
-                        self.workloads,
-                        self.wkey,
-                        self.window,
-                        self.ideal_rate,
-                        self.current,
-                        self.best_actions,
-                    )
-                except Exception:
-                    totals = {
-                        "steady": outcome.predicted_utility,
-                        "transient": 0.0,
-                        "total": outcome.predicted_utility,
-                    }
-                    per_action = []
-                utility = {
-                    **totals,
-                    "predicted_utility": outcome.predicted_utility,
-                    "baseline_utility": self.null_value,
-                    "delta_vs_current": (
-                        outcome.predicted_utility - self.null_value
-                    ),
-                    "ideal_bound": self.window * self.ideal_rate,
-                    "heuristic_gap": (
-                        self.window * self.ideal_rate
-                        - outcome.predicted_utility
-                    ),
-                }
-                outcome.provenance = self.collector.build(
-                    utility=utility,
-                    chosen_actions=tuple(
-                        type(action).__name__ for action in actions
-                    ),
-                    predicted_utility=outcome.predicted_utility,
-                    search={
-                        "expansions": outcome.expansions,
-                        "children_generated": self.evaluations,
-                        "children_pruned": 0,
-                        "candidates": self.candidate_offers,
-                        "pruning_activated": False,
-                        "optimal": outcome.optimal,
-                        "early_return": early_return,
-                        "deadline_aborted": self.deadline_hit,
-                        "self_aware": self.settings.self_aware,
-                        "incremental": True,
-                        "array_core": False,
-                        "wall_seconds": outcome.wall_seconds,
-                        "decision_seconds": outcome.decision_seconds,
-                        "strategy": "polish",
-                        **(stats or {}),
-                    },
-                    per_action=per_action,
-                )
-        return outcome

@@ -238,8 +238,9 @@ def test_solver_fault_falls_back_to_exact_astar(walker, small_testbed):
     """An injected LQN solver failure inside polish's evaluation path
     (which replaced the retired walker's) must never cost the
     controller a decision: ``search`` answers with the exact A*
-    incumbent path (which shares none of polish's machinery) and
-    stamps what actually decided."""
+    incumbent path (which shares the evaluation primitives but not
+    polish's walk or its fault hooks) and stamps what actually
+    decided."""
     reference = _run(
         _make_search(small_testbed, strategy="astar"), small_testbed
     )
@@ -249,7 +250,7 @@ def test_solver_fault_falls_back_to_exact_astar(walker, small_testbed):
         FaultConfig(seed=7, solver_exception_probability=1.0)
     )
     hook_calls: list[str] = []
-    search.on_executor_failure = hook_calls.append
+    search.on_strategy_failure = lambda: hook_calls.append("strategy_failure")
 
     outcome = _run(search, small_testbed)
     assert outcome.strategy == "astar"

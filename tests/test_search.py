@@ -6,6 +6,8 @@ from repro.core.actions import NullAction
 from repro.core.config import Configuration, Placement
 from repro.core.search import (
     ALL_ACTION_KINDS,
+    DELAY_THRESHOLD_FRACTION,
+    HARD_STOP_FACTOR,
     AdaptationSearch,
     SearchSettings,
 )
@@ -184,11 +186,45 @@ def test_allowed_kinds_restrict_actions(
 
 def test_settings_validation():
     with pytest.raises(ValueError):
-        SearchSettings(prune_fraction=0.0)
-    with pytest.raises(ValueError):
-        SearchSettings(per_vertex_seconds=0.0)
-    with pytest.raises(ValueError):
         SearchSettings(max_expansions=0)
+
+
+def test_optimal_only_for_unpruned_terminal_pops(small_testbed):
+    """``optimal`` claims a proof.  A terminal popped before pruning
+    ever switched on is one; the self-aware hard stop, which commits to
+    the incumbent, and the expansion cap are not."""
+    from repro.testbed.scenarios import (
+        _global_perf_pwr,
+        initial_configuration,
+    )
+
+    def run(rates, **settings):
+        search = AdaptationSearch(
+            small_testbed.applications,
+            small_testbed.catalog,
+            small_testbed.limits,
+            small_testbed.estimator,
+            small_testbed.cost_manager,
+            _global_perf_pwr(small_testbed),
+            small_testbed.host_ids,
+            SearchSettings(strategy="astar", **settings),
+        )
+        workloads = dict(zip(small_testbed.applications.names(), rates))
+        start = initial_configuration(small_testbed)
+        return search.search(start, workloads, window)
+
+    window = 300.0
+    proved = run((45.0, 50.0))
+    assert proved.expansions > 0 and not proved.pruning_activated
+    assert proved.optimal
+    stopped = run((71.1, 30.4))
+    assert stopped.pruning_activated
+    hard_stop = HARD_STOP_FACTOR * DELAY_THRESHOLD_FRACTION * window
+    assert stopped.decision_seconds >= hard_stop
+    assert not stopped.optimal
+    capped = run((71.1, 30.4), self_aware=False, max_expansions=50)
+    assert capped.expansions == 50
+    assert not capped.optimal
 
 
 def test_expected_utility_budget_triggers_pruning(

@@ -446,7 +446,7 @@ def test_watchdog_abort_steps_controller_ladder_down(small_testbed):
     assert pruned.self_aware
 
 
-def test_controller_wires_executor_failures_into_resilience(small_testbed):
+def test_controller_wires_strategy_failures_into_resilience(small_testbed):
     """The controller timestamps search failures with the sample it
     was processing and feeds them to its degradation ladder."""
     from repro.core.controller import MistralController
@@ -458,12 +458,12 @@ def test_controller_wires_executor_failures_into_resilience(small_testbed):
         monitor=WorkloadMonitor(band_width=0.0),
     )
     assert (
-        controller.search.on_executor_failure
-        == controller._on_executor_failure
+        controller.search.on_strategy_failure
+        == controller._on_strategy_failure
     )
     controller.enable_resilience()
     controller._last_now = 360.0
-    controller.search.on_executor_failure("strategy_failure")
+    controller.search.on_strategy_failure()
     assert controller.stats.faults_observed == 1
     assert controller.stats.strategy_failures == 1
 
